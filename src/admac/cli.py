@@ -19,6 +19,7 @@ rows report the all-packet mean delay and overall drop share.  Exit codes:
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import sys
@@ -480,8 +481,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         handler = {

@@ -69,6 +69,8 @@ def aggregate_utilization(per_sector):
     total = sum(c for _, c in per_sector)
     if total <= 0:
         raise InfeasibleModelError("aggregate needs positive service periods")
+    if len(per_sector) == 1:
+        return per_sector[0][0]  # u * c / c can be one ulp off u
     return sum(u * c for u, c in per_sector) / total
 
 
@@ -151,10 +153,14 @@ def analyze(params):
     sectors = derive_sector_models(params, timings)
     charged = slot_quantized(timings, params.slot_time)
     us, delays, drops, sols = [], [], [], []
+    solved = {}  # the coupling depends on the sector only through n_k
     for sector in sectors:
-        sol = solve_idle_slot_coupling(
-            sector.n_k, params.w0, params.m, window_rule=params.window_rule
-        )
+        sol = solved.get(sector.n_k)
+        if sol is None:
+            sol = solved[sector.n_k] = solve_idle_slot_coupling(
+                sector.n_k, params.w0, params.m,
+                window_rule=params.window_rule,
+            )
         us.append(sector_utilization(sol.steps, charged, params.slot_time))
         delays.append(expected_delay(
             sol, sol.steps, charged, sector, params, params.w0, params.m,

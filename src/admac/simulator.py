@@ -7,21 +7,29 @@ ceil(t_col / slot) slots, and an idle slot decrements every counter by one.
 A transmission may start only when the remaining window still fits a full
 exchange, so the final stretch of each window is provably transmission-free
 and counters there sink to one (the deferral rule) while zeros wait for the
-next window.  Outside its sector window a station is frozen.  The loop
-advances in jumps between events, which is exact because decrements are
-lockstep on idle slots.
+next window.  Outside its sector window a station is frozen.
+
+Because idle decrements are lockstep, each sector keeps one idle clock that
+advances only on idle slots, and stores each counter as its firing time
+``fire = clock + counter`` in a heap of ``(fire, station)``.  An idle stretch
+is one clock jump to the heap top; the stations at zero are the entries
+whose ``fire`` equals the clock.  In the transmission-free tail of a window
+(``gap`` slots) the entries at or below ``clock + gap`` are re-keyed: zeros
+to ``clock + gap``, the rest to ``clock + gap + 1``.
 """
 
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .config import derive_sector_models, window_sizes
 from .errors import ConfigError
-from .metrics import PerformanceReport
+from .metrics import PerformanceReport, aggregate_utilization
 
 _BUFFER = 512
+MAX_STATIONS = 1 << 20  # stream key (seed << 20) + station id stays unique
 
 
 class _Stream:
@@ -31,13 +39,13 @@ class _Stream:
         self.gen = np.random.Generator(
             np.random.Philox(key=(seed << 20) + station_id)
         )
-        self.buf = self.gen.random(_BUFFER)
+        self.buf = self.gen.random(_BUFFER).tolist()
         self.pos = 0
 
     def draw(self, width):
         """Uniform integer in [0, width - 1]."""
         if self.pos == _BUFFER:
-            self.buf = self.gen.random(_BUFFER)
+            self.buf = self.gen.random(_BUFFER).tolist()
             self.pos = 0
         u = self.buf[self.pos]
         self.pos += 1
@@ -52,7 +60,6 @@ class Station:
     sector: int
     stage: int
     counter: int
-    retries: int
     enqueued_slot: int
     rng: _Stream = field(repr=False)
 
@@ -63,7 +70,6 @@ class SectorSchedule:
 
     windows: tuple
     bi_slots: int
-    bi_index: int = 0
 
     def __post_init__(self):
         cursor = 0
@@ -87,6 +93,11 @@ def schedule_from_params(params):
 
 def make_stations(params, seed):
     """Stations with fresh stage-0 draws and independent RNG streams."""
+    if params.n > MAX_STATIONS:
+        raise ConfigError(
+            f"n must be <= {MAX_STATIONS} (2**20) so that per-station RNG "
+            f"streams stay distinct across seeds, got {params.n}"
+        )
     w0 = window_sizes(params.w0, params.m, params.window_rule)[0]
     stations = []
     sid = 0
@@ -95,7 +106,7 @@ def make_stations(params, seed):
             rng = _Stream(seed, sid)
             stations.append(Station(
                 station_id=sid, sector=sector, stage=0,
-                counter=rng.draw(w0), retries=0, enqueued_slot=0, rng=rng,
+                counter=rng.draw(w0), enqueued_slot=0, rng=rng,
             ))
             sid += 1
     return stations
@@ -126,6 +137,8 @@ def run_simulation(params, timings, seed, num_bi=200):
     schedule = schedule_from_params(params)
     stations = make_stations(params, seed)
     widths = window_sizes(params.w0, params.m, params.window_rule)
+    w0 = widths[0]
+    m = params.m
     nf = timings.n_frame_slots
     nc = math.ceil(timings.t_col / params.slot_time)
     sigma = params.slot_time
@@ -134,11 +147,13 @@ def run_simulation(params, timings, seed, num_bi=200):
     drops_all, attempts_all, delay_arrays = [], [], []
     for sector, (start, length) in enumerate(schedule.windows):
         members = [st for st in stations if st.sector == sector]
-        counters = np.array([st.counter for st in members], dtype=np.int64)
-        stages = np.array([st.stage for st in members], dtype=np.int64)
-        enqueued = np.array([st.enqueued_slot for st in members], dtype=np.int64)
-        streams = [st.rng for st in members]
-        m = params.m
+        draws = [st.rng.draw for st in members]
+        stages = [0] * len(members)
+        enqueued = [0] * len(members)
+        heap = [(st.counter, k) for k, st in enumerate(members)]
+        heapify(heap)
+        clock = 0  # the sector's idle clock; counter = fire - clock
+        last_start = length - nf
 
         n_suc = n_col = n_idle = n_drop = n_att = 0
         delays = []
@@ -146,11 +161,11 @@ def run_simulation(params, timings, seed, num_bi=200):
             base = bi * schedule.bi_slots + start
             t = 0
             while t < length:
-                remaining = length - t
-                zeros = np.flatnonzero(counters == 0)
-                if zeros.size and remaining >= nf:
-                    if zeros.size == 1:
-                        s = int(zeros[0])
+                fire = heap[0][0]
+                if fire == clock and t <= last_start:
+                    # the stations at zero transmit: one succeeds, more collide
+                    s = heappop(heap)[1]
+                    if not heap or heap[0][0] != clock:
                         t += nf
                         end = base + t
                         n_suc += 1
@@ -158,34 +173,43 @@ def run_simulation(params, timings, seed, num_bi=200):
                         delays.append(end - enqueued[s])
                         enqueued[s] = end
                         stages[s] = 0
-                        counters[s] = streams[s].draw(widths[0])
-                    else:
-                        t += nc
-                        end = base + t
-                        n_col += 1
-                        n_att += zeros.size
-                        for s in zeros:
-                            s = int(s)
-                            if stages[s] == m:
-                                n_drop += 1
-                                stages[s] = 0
-                                counters[s] = 0
-                                enqueued[s] = end
-                            else:
-                                stages[s] += 1
-                                counters[s] = streams[s].draw(widths[stages[s]])
-                    continue
-                if zeros.size == 0:
-                    min_j = int(counters.min())
-                    if t + min_j <= length - nf:
-                        counters -= min_j
-                        t += min_j
-                        n_idle += min_j
+                        heappush(heap, (clock + draws[s](w0), s))
                         continue
+                    t += nc
+                    end = base + t
+                    n_col += 1
+                    colliders = [s]
+                    while heap and heap[0][0] == clock:
+                        colliders.append(heappop(heap)[1])
+                    n_att += len(colliders)
+                    for s in colliders:
+                        stage = stages[s]
+                        if stage == m:
+                            n_drop += 1
+                            stages[s] = 0
+                            enqueued[s] = end
+                            heappush(heap, (clock, s))
+                        else:
+                            stages[s] = stage + 1
+                            heappush(heap, (
+                                clock + draws[s](widths[stage + 1]), s))
+                    continue
+                if fire > clock and t + fire - clock <= last_start:
+                    # idle jump to the next counter to reach zero
+                    n_idle += fire - clock
+                    t += fire - clock
+                    clock = fire
+                    continue
                 # Transmission-free tail: counters sink to one and park.
                 gap = length - t
-                dec = np.clip(np.minimum(counters - 1, gap), 0, None)
-                counters -= dec
+                edge = clock + gap
+                parked = []
+                while heap and heap[0][0] <= edge:
+                    fire, s = heappop(heap)
+                    parked.append((edge if fire == clock else edge + 1, s))
+                for entry in parked:
+                    heappush(heap, entry)
+                clock = edge
                 n_idle += gap
                 t = length
 
@@ -195,11 +219,6 @@ def run_simulation(params, timings, seed, num_bi=200):
         drops_all.append(n_drop)
         attempts_all.append(n_att)
         delay_arrays.append(np.asarray(delays, dtype=np.float64) * sigma)
-        for k, st in enumerate(members):
-            st.counter = int(counters[k])
-            st.stage = int(stages[k])
-            st.retries = int(stages[k])
-            st.enqueued_slot = int(enqueued[k])
 
     return SimStats(
         seed=seed,
@@ -231,13 +250,11 @@ def empirical_report(stats, params):
         )
         finished = stats.successes[k] + stats.dropped[k]
         drops.append(stats.dropped[k] / finished if finished else None)
-    total = sum(stats.sector_cbap_slots)
-    aggregate = sum(
-        u * c for u, c in zip(us, stats.sector_cbap_slots)
-    ) / total
     return PerformanceReport(
         per_sector_u=tuple(us),
-        aggregate_u=aggregate,
+        aggregate_u=aggregate_utilization(
+            list(zip(us, stats.sector_cbap_slots))
+        ),
         per_sector_delay=tuple(delays),
         per_sector_drop_prob=tuple(drops),
         diagnostics=(),

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from admac import analyze, make_params
+from admac import analyze, cli, make_params
 from admac.cli import SweepSpec, config_hash, main, parse_seeds
 
 
@@ -48,6 +48,34 @@ def test_solve_writes_to_stdout_by_default(capsys):
     captured = capsys.readouterr().out
     assert captured.startswith("#")
     assert "config_hash,seed,n,q,w0,m,cbap_fraction" in captured
+
+
+@pytest.mark.parametrize("share", [f"{k / 10:.1f}" for k in range(1, 11)])
+def test_single_sector_u_equals_sector_u(share, capsys):
+    assert main(["solve", "--n", "10", "--q", "1", "--w0", "7",
+                 "--cbap-fraction", share]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    row, = csv.DictReader(line for line in lines if not line.startswith("#"))
+    assert row["u"] == row["u_sectors"]
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    try:
+        assert main(["solve", "--n", "4"]) == 0
+        assert main(["solve", "--n", "5"]) == 0
+        assert main(["--no-such-flag"]) == 1
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_beacon_length_flag_converts_to_slots(tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from admac import metrics
 from admac import (CoupledSolution, FixedPointSolution, InfeasibleModelError,
                    SectorModel, SlotProbabilities, aggregate_utilization,
                    analyze, derive_sector_models, derive_timings,
@@ -113,6 +114,13 @@ def test_aggregate_of_constant_is_constant():
 def test_aggregate_single_sector_identity():
     assert aggregate_utilization([(0.3127, 8000)]) == \
         pytest.approx(0.3127, rel=1e-15)
+
+
+def test_aggregate_single_sector_is_exact():
+    # the weighted mean u * c / c reads one ulp above u for this pair
+    u = 0.33505991793871015
+    assert u * 14000 / 14000 != u
+    assert aggregate_utilization([(u, 14000)]) == u
 
 
 def test_aggregate_needs_positive_weight():
@@ -292,3 +300,19 @@ def test_report_shapes_and_bounds():
     assert all(0.0 < u < 1.0 for u in report.per_sector_u)
     assert all(0.0 <= d < 1.0 for d in report.per_sector_drop_prob)
     assert 0.0 < report.aggregate_u < 1.0
+
+
+def test_analyze_solves_coupling_once_per_population(monkeypatch):
+    # n=50 over four sectors is 13, 13, 12, 12 stations: two distinct n_k
+    solved = []
+    real = metrics.solve_idle_slot_coupling
+
+    def counting(n_k, *args, **kwargs):
+        solved.append(n_k)
+        return real(n_k, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "solve_idle_slot_coupling", counting)
+    report = analyze(make_params(n=50, q=4, cbap_slots=8000))
+    assert sorted(solved) == [12, 13]
+    assert report.diagnostics[0] is report.diagnostics[1]
+    assert report.diagnostics[2] is report.diagnostics[3]

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from admac import (ConfigError, InfeasibleModelError, SectorSchedule,
                    SimStats, analyze, derive_timings, empirical_report,
                    make_params, make_stations, run_simulation,
-                   schedule_from_params, window_sizes)
+                   schedule_from_params, simulator, window_sizes)
 from conftest import bank_params, mean_sim_u, tau_hat
 
 
@@ -16,7 +17,7 @@ def reference_sim(params, timings, seed, num_bi):
     """Naive one-slot-at-a-time loop with per-slot invariant checks.
 
     Independent rewrite of the event semantics used to pin the production
-    jump loop: same RNG streams, no jumps, and it asserts on every slot
+    heap loop: same RNG streams, no jumps, and it asserts on every slot
     that counters stay in range and that the decrements spent between two
     transmissions add up to the drawn counter no matter how many window
     suspensions intervene.
@@ -102,12 +103,24 @@ def reference_sim(params, timings, seed, num_bi):
     dict(n=3, q=2, w0=7, m=1, bi_slots=500, cbap_slots=300),
     dict(n=1, q=1, w0=7, m=5, bi_slots=300, cbap_slots=300),
     dict(n=5, q=1, w0=4, m=0, bi_slots=400, cbap_slots=200),
+    # two stations in each of eight sectors
+    dict(n=16, q=8, w0=4, m=2, bi_slots=1200, cbap_slots=800),
+    # the window is the whole beacon interval
+    dict(n=4, q=1, w0=7, m=2, bi_slots=400, cbap_slots=400),
+    # windows of N_F + 4 slots: the tail re-key runs in most windows
+    dict(n=8, q=4, w0=4, m=2, bi_slots=200, cbap_slots=72),
+    # eight stations on stage windows of 2 and 4 slots: drops are common
+    dict(n=8, q=1, w0=2, m=1, bi_slots=500, cbap_slots=400),
 ])
 def test_jump_loop_matches_one_slot_reference(overrides):
     params = make_params(**overrides)
     timings = derive_timings(params)
-    ref = reference_sim(params, timings, seed=3, num_bi=10)
-    stats = run_simulation(params, timings, seed=3, num_bi=10)
+    assert_matches_reference(params, timings, seed=3, num_bi=10)
+
+
+def assert_matches_reference(params, timings, seed, num_bi):
+    ref = reference_sim(params, timings, seed=seed, num_bi=num_bi)
+    stats = run_simulation(params, timings, seed=seed, num_bi=num_bi)
     assert stats.successes == ref[0]
     assert stats.collisions == ref[1]
     assert stats.idle_slots == ref[2]
@@ -115,6 +128,27 @@ def test_jump_loop_matches_one_slot_reference(overrides):
     assert stats.attempts == ref[4]
     for got, want in zip(stats.delays, ref[5]):
         assert np.array_equal(got, want)
+
+
+@strategies.composite
+def small_params(draw):
+    """Valid parameter sets small enough for the one-slot reference loop."""
+    ints = strategies.integers
+    q = draw(ints(1, 3))
+    cbap = q * draw(ints(15, 60))  # N_F = 14 slots at the default timing
+    return make_params(
+        n=draw(ints(q, 6)), q=q, w0=draw(ints(2, 8)), m=draw(ints(0, 3)),
+        window_rule=draw(strategies.sampled_from(
+            ("doubling", "doubling-minus-one"))),
+        cbap_slots=cbap, bi_slots=cbap + draw(ints(0, 100)),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(params=small_params(), seed=strategies.integers(0, 1000))
+def test_heap_loop_matches_reference_on_random_params(params, seed):
+    assert_matches_reference(params, derive_timings(params), seed=seed,
+                             num_bi=6)
 
 
 def joint_chain_prediction(w0, m):
@@ -307,6 +341,17 @@ def test_report_marks_empty_run_undefined():
     assert report.per_sector_drop_prob == (None,)
 
 
+def test_report_single_sector_aggregate_is_sector_u():
+    # seeds whose sector u is not recovered by the weighted mean u * c / c
+    params = make_params(n=10, w0=7, bi_slots=20000, cbap_slots=14000)
+    for seed in (6, 13, 15):
+        stats = run_simulation(params, derive_timings(params), seed, num_bi=2)
+        report = empirical_report(stats, params)
+        u = report.per_sector_u[0]
+        assert u * 14000 / 14000 != u
+        assert report.aggregate_u == u
+
+
 def test_report_utilization_is_payload_over_window_time():
     # 10 ms of payload delivered inside a 40 ms service window
     stats = SimStats(
@@ -360,3 +405,17 @@ def test_station_state_written_back_in_bounds():
         assert st.sector in (0, 1)
         assert st.stage == 0
         assert 0 <= st.counter < widths[0]
+
+
+def test_population_beyond_stream_key_space_rejected(monkeypatch):
+    # (seed << 20) + station id would alias seed s, station 2**20 with
+    # seed s + 1, station 0; the check must come before any stream is built
+    def no_stream(seed, station_id):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(simulator, "_Stream", no_stream)
+    params = make_params(n=2**20 + 1)
+    with pytest.raises(ConfigError, match=r"2\*\*20"):
+        make_stations(params, seed=0)
+    with pytest.raises(ConfigError):
+        run_simulation(params, derive_timings(params), seed=0, num_bi=1)
