@@ -2,10 +2,13 @@
 
 Builds the full transition matrix over every (stage, counter, flag) state
 from the same transition rules the closed form summarizes, solves for the
-stationary distribution directly, and reports closed-form-vs-oracle errors
-over a parameter grid.  Desk-scale only: never used in sweeps.
+stationary distribution with one sparse LU, and reports closed-form-vs-
+oracle errors over a parameter grid.  Desk-scale only: never used in
+sweeps.  scipy is imported inside the functions that need it, so that
+importing the package does not pay for it.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +18,6 @@ from .errors import AdmacError, OracleError, OracleSizeError
 from .markov import SteadyStateVector, b000_closed_form, eta_terms, tau_of
 
 MAX_STATES = 100_000
-DENSE_LIMIT = 2000
 
 # Grid for closed-form-vs-oracle validation: (w0, m, p, p_h, p_h_prime, p_f).
 DEFAULT_GRID = tuple(sorted(set(
@@ -31,10 +33,10 @@ DEFAULT_GRID = tuple(sorted(set(
 
 @dataclass(frozen=True)
 class ExplicitChain:
-    """Dense one-step transition matrix with its state index."""
+    """Sparse (CSR) one-step transition matrix with its state index."""
 
     index: dict
-    matrix: np.ndarray
+    matrix: object
     n_states: int
     m: int
     widths: tuple
@@ -54,8 +56,13 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     States are (i, j, 0) for j in [0, w_i-1] plus suspended twins
     (i, j, -1) for j >= 1; a transmission occupies exactly one chain step.
     The busy probability ``p_b`` defaults to the collision probability p,
-    the identity that holds at every fixed point.
+    the identity that holds at every fixed point.  Stage i holds the rows
+    base_i .. base_i + 2 w_i - 2: its head (i, 0, 0), its counters
+    (i, j, 0), then their twins.  The CSR arrays are written directly,
+    each row's columns in ascending order.
     """
+    from scipy.sparse import csr_array
+
     widths = window_sizes(w0, m, window_rule)
     n_states = sum(2 * w - 1 for w in widths)
     if n_states > MAX_STATES:
@@ -73,32 +80,58 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     if p_b is None:
         p_b = p
     p_h, p_h_prime, p_f = sector.p_h, sector.p_h_prime, sector.p_f
-    matrix = np.zeros((n_states, n_states))
+    first = widths[0]
+    head_lengths = [first + w_next for w_next in widths[1:]] + [first]
+    nnz = sum(head_lengths) + 5 * sum(w - 1 for w in widths)
+    lengths = np.empty(n_states, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    base = at = 0
     for i, w in enumerate(widths):
-        for j in range(1, w):
-            row = index[(i, j, 0)]
-            column = p_h_prime if j == 1 else p_h
-            matrix[row, index[(i, j, 0)]] += p_b
-            matrix[row, index[(i, j, -1)]] += column
-            matrix[row, index[(i, j - 1, 0)]] += 1.0 - p_b - column
-
-            row = index[(i, j, -1)]
-            matrix[row, index[(i, j, -1)]] += p_f
-            matrix[row, index[(i, j, 0)]] += 1.0 - p_f
-
-        row = index[(i, 0, 0)]
-        w_next = widths[i + 1] if i < m else None
-        for j0 in range(widths[0]):
-            matrix[row, index[(0, j0, 0)]] += (1.0 - p) / widths[0]
+        k = w - 1
+        lengths[base] = head_lengths[i]
+        lengths[base + 1:base + w] = 3
+        lengths[base + w:base + w + k] = 2
+        # head (i, 0, 0): a success draws a stage-0 counter; a collision
+        # draws a stage-(i + 1) counter, or at stage m drops and restarts
+        # at (0, 0, 0)
+        indices[at:at + first] = np.arange(first)
+        data[at:at + first] = (1.0 - p) / first
         if i < m:
-            for j1 in range(w_next):
-                matrix[row, index[(i + 1, j1, 0)]] += p / w_next
+            w_next = widths[i + 1]
+            nxt = base + w + k
+            indices[at + first:at + first + w_next] = np.arange(nxt,
+                                                               nxt + w_next)
+            data[at + first:at + first + w_next] = p / w_next
         else:
-            matrix[row, index[(0, 0, 0)]] += p
+            data[at] += p
+        at += head_lengths[i]
+        # counter (i, j, 0): decrement, hold while busy, or suspend at the
+        # boundary (p_h' at j = 1, p_h above); twin (i, j, -1): return or
+        # stay suspended
+        rows = np.arange(base + 1, base + w)
+        cols = indices[at:at + 5 * k]
+        vals = data[at:at + 5 * k]
+        counter_cols = cols[:3 * k].reshape(k, 3)
+        counter_vals = vals[:3 * k].reshape(k, 3)
+        counter_cols[:, 0] = rows - 1
+        counter_cols[:, 1] = rows
+        counter_cols[:, 2] = rows + k
+        counter_vals[:] = (1.0 - p_b - p_h, p_b, p_h)
+        counter_vals[:1] = (1.0 - p_b - p_h_prime, p_b, p_h_prime)
+        twin_cols = cols[3 * k:].reshape(k, 2)
+        twin_cols[:, 0] = rows
+        twin_cols[:, 1] = rows + k
+        vals[3 * k:].reshape(k, 2)[:] = (1.0 - p_f, p_f)
+        base += w + k
+        at += 5 * k
+    indptr = np.zeros(n_states + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
 
-    sums = matrix.sum(axis=1)
+    sums = np.add.reduceat(data, indptr[:-1])
     if np.max(np.abs(sums - 1.0)) > 1e-12:
         raise OracleError("transition matrix rows do not sum to 1")
+    matrix = csr_array((data, indices, indptr), shape=(n_states, n_states))
     return ExplicitChain(
         index=index, matrix=matrix, n_states=n_states, m=m, widths=widths
     )
@@ -107,44 +140,53 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
 def stationary_distribution(chain, tol=1e-12, method="auto"):
     """Solve pi P = pi, sum(pi) = 1 for the explicit chain.
 
-    Direct linear solve up to DENSE_LIMIT states, power iteration above
-    (or on request via ``method``).
+    One sparse LU solve of (P^T - I) pi = 0 with the balance equation of
+    state 0 replaced by pi_0 = 1, then normalized.  Pinning one state keeps
+    the LU as sparse as P; a row of ones would fill it in.  ``method`` is
+    "auto" or "direct", both meaning this solve.  ``chain.matrix`` may be
+    any scipy sparse format.
     """
-    pmat = chain.matrix
-    n = chain.n_states
-    if method == "auto":
-        method = "direct" if n <= DENSE_LIMIT else "power"
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-    if method == "direct":
-        a = pmat.T - np.eye(n)
-        a[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        try:
-            pi = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise OracleError(f"stationary solve failed: {exc}") from exc
-    elif method == "power":
-        pi = np.full(n, 1.0 / n)
-        for _ in range(500_000):
-            nxt = pi @ pmat
-            if np.max(np.abs(nxt - pi)) <= tol:
-                pi = nxt
-                break
-            pi = nxt
-        else:
-            raise OracleError(
-                f"power iteration did not reach {tol} in 500000 steps"
-            )
-    else:
+    if method not in ("auto", "direct"):
         raise OracleError(f"unknown stationary method {method!r}")
+    pmat = chain.matrix.tocsr()
+    n = chain.n_states
+    data, indices, indptr = pmat.data, pmat.indices, pmat.indptr
+    rows = np.repeat(np.arange(n), np.diff(indptr))
 
-    residual = np.max(np.abs(pi @ pmat - pi))
+    # CSC column c of P^T - I: row c of P, then a -1 on the diagonal
+    # (duplicates are summed by the solver).  Zeroing row 0 and setting its
+    # diagonal to +1 turns state 0's balance equation into pi_0 = 1.
+    a_indptr = indptr + np.arange(n + 1, dtype=indptr.dtype)
+    at = np.arange(len(data)) + rows
+    diagonal = a_indptr[1:] - 1
+    a_indices = np.empty(a_indptr[-1], dtype=indices.dtype)
+    a_indices[at] = indices
+    a_indices[diagonal] = np.arange(n)
+    a_data = np.empty(a_indptr[-1])
+    a_data[at] = np.where(indices == 0, 0.0, data)
+    a_data[diagonal] = -1.0
+    a_data[diagonal[0]] = 1.0
+    b = np.zeros(n)
+    b[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        x = spsolve(csc_array((a_data, a_indices, a_indptr), shape=(n, n)), b)
+    total = x.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise OracleError("stationary solve failed: singular balance system")
+    pi = x / total
+
+    flow = np.bincount(indices, weights=data * pi[rows], minlength=n)
+    residual = np.max(np.abs(flow - pi))
     if residual > max(tol, 1e-10):
         raise OracleError(f"stationary residual {residual} exceeds {tol}")
     if np.min(pi) < -1e-10:
         raise OracleError(f"stationary vector has negative mass {np.min(pi)}")
-    entries = {state: float(pi[row]) for state, row in chain.index.items()}
+    mass = pi.tolist()
+    entries = {state: mass[row] for state, row in chain.index.items()}
     return SteadyStateVector(m=chain.m, widths=chain.widths, entries=entries)
 
 

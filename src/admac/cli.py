@@ -22,6 +22,7 @@ import csv
 import functools
 import hashlib
 import io
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -209,6 +210,11 @@ def _sweep_point(task):
     return (index, mode, sort_seed), row
 
 
+def _workers(jobs):
+    """Worker processes for ``--jobs``: at most one per CPU."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def run_sweep(spec):
     """All sweep rows, sorted by swept value, then mode, then seed."""
     tasks = []
@@ -221,8 +227,9 @@ def run_sweep(spec):
                 for seed in spec.seeds:
                     tasks.append((spec.base_overrides, spec.param, index,
                                   value, mode, seed, spec.num_bi))
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    workers = _workers(spec.jobs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(task) for task in tasks]
@@ -275,9 +282,10 @@ def _cmd_solve(args):
 def _cmd_simulate(args):
     params = make_params(**_collect_overrides(args))
     seeds = parse_seeds(args.seeds)
-    if args.jobs > 1:
+    workers = _workers(args.jobs)
+    if workers > 1:
         tasks = [(params, seed, args.num_bi) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_simulate_star, tasks))
     else:
         rows = [_sim_row(params, seed, args.num_bi) for seed in seeds]
@@ -456,7 +464,8 @@ def build_parser():
     _add_config_flags(p_sim)
     p_sim.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 0,3,7")
     p_sim.add_argument("--num-bi", type=int, default=200, dest="num_bi")
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per CPU")
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     _add_config_flags(p_sweep)
@@ -467,7 +476,8 @@ def build_parser():
                          choices=("analytic", "sim", "both"))
     p_sweep.add_argument("--seeds", default="0-9")
     p_sweep.add_argument("--num-bi", type=int, default=200, dest="num_bi")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes, at most one per CPU")
 
     p_val = sub.add_parser("validate", help="closed form vs explicit chain")
     p_val.add_argument("--tol", type=float, default=1e-6)

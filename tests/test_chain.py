@@ -2,10 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
+from scipy.sparse import csr_array
 
-from admac import (ExplicitChain, OracleSizeError, b000_closed_form,
-                   build_chain, eta_terms, raw_sector,
-                   stationary_distribution, tau_of, validation_report)
+from admac import (ExplicitChain, OracleError, OracleSizeError,
+                   b000_closed_form, build_chain, derive_sector_models,
+                   derive_timings, eta_terms, make_params, raw_sector,
+                   solve_fixed_point, stationary_distribution, tau_of,
+                   validation_report)
+
+
+def dense_stationary(chain):
+    """Reference solve: dense (P^T - I) with its last row replaced by ones."""
+    a = chain.matrix.toarray().T - np.eye(chain.n_states)
+    a[-1, :] = 1.0
+    b = np.zeros(chain.n_states)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    return {state: pi[row] for state, row in chain.index.items()}
 
 
 def test_rows_sum_to_one():
@@ -54,7 +68,7 @@ def test_closed_form_matches_oracle_with_decoupled_busy_probability():
 
 
 def test_two_state_symmetric_chain_is_uniform():
-    matrix = np.array([[0.7, 0.3], [0.3, 0.7]])
+    matrix = csr_array([[0.7, 0.3], [0.3, 0.7]])
     chain = ExplicitChain(index={(0, 0, 0): 0, (0, 1, 0): 1}, matrix=matrix,
                           n_states=2, m=0, widths=(2,))
     vec = stationary_distribution(chain)
@@ -62,13 +76,72 @@ def test_two_state_symmetric_chain_is_uniform():
     assert vec.entries[(0, 1, 0)] == pytest.approx(0.5, rel=1e-12)
 
 
-def test_power_iteration_agrees_with_direct_solve():
+def test_sparse_solve_agrees_with_dense_solve():
     chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 1)
-    direct = stationary_distribution(chain, method="direct")
-    power = stationary_distribution(chain, tol=1e-13, method="power")
-    worst = max(abs(direct.entries[s] - power.entries[s])
-                for s in direct.entries)
+    sparse = stationary_distribution(chain, method="direct")
+    dense = dense_stationary(chain)
+    worst = max(abs(sparse.entries[s] - dense[s]) for s in dense)
     assert worst <= 1e-10
+
+
+def test_stationary_method_accepts_only_the_direct_solve():
+    chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 1)
+    assert (stationary_distribution(chain, method="auto").entries
+            == stationary_distribution(chain, method="direct").entries)
+    with pytest.raises(OracleError):
+        stationary_distribution(chain, method="power")
+
+
+def test_chain_without_stationary_distribution_raises():
+    # counters never decrement (p_b + p_h = 1): every counter and its twin
+    # form a closed class, so the balance system has no unique solution
+    chain = build_chain(0.3, raw_sector(0.2, 0.2, 0.5), 4, 1, p_b=0.8)
+    with pytest.raises(OracleError):
+        stationary_distribution(chain)
+
+
+@strategies.composite
+def small_chains(draw):
+    w0 = draw(strategies.integers(1, 8))
+    m = draw(strategies.integers(0, 3))
+    rule = draw(strategies.sampled_from(("doubling", "doubling-minus-one")))
+    if rule == "doubling-minus-one" and w0 == 1:
+        w0 = 2
+    unit = strategies.floats(0.0, 1.0)
+    p = 0.9 * draw(unit)
+    p_b = 0.6 * draw(unit)
+    p_h = 0.1 * draw(unit)
+    p_h_prime = 0.3 * draw(unit)
+    p_f = 0.9 * draw(unit)
+    return build_chain(p, raw_sector(p_h, p_h_prime, p_f), w0, m, p_b=p_b,
+                       window_rule=rule)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain=small_chains())
+def test_sparse_solve_matches_dense_on_random_chains(chain):
+    sparse = stationary_distribution(chain)
+    dense = dense_stationary(chain)
+    worst = max(abs(sparse.entries[s] - dense[s]) for s in dense)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("w0", [7, 15, 31])
+@pytest.mark.parametrize("n", [10, 50])
+def test_closed_form_matches_oracle_at_operating_points(w0, n):
+    # the m = 5 points the cross-validation runs, with the boundary
+    # probabilities of a contention share of 0.4 of a 20000-slot interval
+    m = 5
+    params = make_params(n=n, w0=w0, m=m, bi_slots=20000, cbap_slots=8000)
+    sector = derive_sector_models(params, derive_timings(params))[0]
+    p = solve_fixed_point(sector, w0, m).p
+    eta, eta_prime = eta_terms(p, sector.p_f, sector.p_h, sector.p_h_prime)
+    closed = b000_closed_form(p, w0, m, eta, eta_prime)
+    chain = build_chain(p, sector, w0, m)
+    assert chain.n_states == sum(2 * (2 ** i) * w0 - 1 for i in range(m + 1))
+    vec = stationary_distribution(chain)
+    assert closed == pytest.approx(vec.entries[(0, 0, 0)], rel=1e-8)
+    assert tau_of(p, closed, m) == pytest.approx(vec.head_mass(), rel=1e-8)
 
 
 def test_no_return_path_leaves_one_step_suspension_mass():

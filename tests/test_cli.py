@@ -211,6 +211,39 @@ def test_sweep_rejects_bad_value_text(capsys):
     capsys.readouterr()
 
 
+class RecordingExecutor:
+    """Serial stand-in for ProcessPoolExecutor that records max_workers."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus, expected", [(2, [2]), (1, []), (None, [])],
+                         ids=["two-cpus", "one-cpu", "unknown-cpus"])
+def test_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, cpus, expected):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingExecutor, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    assert main(["simulate", "--n", "4", "--seeds", "0-2", "--num-bi", "2",
+                 "--jobs", "64", "--out", str(tmp_path / "sim.csv")]) == 0
+    assert RecordingExecutor.created == expected
+    assert main(["sweep", "--param", "n", "--values", "4,6", "--mode",
+                 "sim", "--seeds", "0", "--num-bi", "2", "--jobs", "64",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert RecordingExecutor.created == expected * 2
+
+
 # --- validate ---
 
 def test_validate_passes_default_grid(capsys):
@@ -271,6 +304,24 @@ def test_module_entry_point_smoke():
     assert "config_hash" in proc.stdout
 
 
+def test_analytic_and_simulate_paths_do_not_import_scipy():
+    # scipy serves only the explicit-chain oracle; importing it costs more
+    # than the rest of the package's start-up
+    script = (
+        "import sys\n"
+        "import admac\n"
+        "from admac import cli\n"
+        "assert cli.main(['solve', '--n', '10', '--cbap-fraction', '0.4']) == 0\n"
+        "assert cli.main(['simulate', '--n', '4', '--seeds', '0',"
+        " '--num-bi', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_config_hash_is_stable_and_sensitive():
     a = config_hash(make_params(n=10))
     b = config_hash(make_params(n=10))
@@ -278,3 +329,4 @@ def test_config_hash_is_stable_and_sensitive():
     assert a == b
     assert a != c
     assert len(a) == 12
+
