@@ -4,14 +4,12 @@ Builds the full transition matrix over every (stage, counter, flag) state
 from the same transition rules the closed form summarizes, solves for the
 stationary distribution with one sparse LU, and reports closed-form-vs-
 oracle errors over a parameter grid.  Desk-scale only: never used in
-sweeps.  scipy is imported inside the functions that need it, so that
-importing the package does not pay for it.
+sweeps.  numpy and scipy are imported inside the functions that need
+them, so that importing the package does not pay for them.
 """
 
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import SectorModel, window_sizes
 from .errors import AdmacError, OracleError, OracleSizeError
@@ -61,6 +59,7 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     (i, j, 0), then their twins.  The CSR arrays are written directly,
     each row's columns in ascending order.
     """
+    import numpy as np
     from scipy.sparse import csr_array
 
     widths = window_sizes(w0, m, window_rule)
@@ -146,6 +145,7 @@ def stationary_distribution(chain, tol=1e-12, method="auto"):
     "auto" or "direct", both meaning this solve.  ``chain.matrix`` may be
     any scipy sparse format.
     """
+    import numpy as np
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 

@@ -27,8 +27,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .chain import DEFAULT_GRID, validation_report
 from .config import (DEFAULTS, ModelParams, derive_timings, make_params,
                      parse_config_file)
@@ -159,6 +157,8 @@ def _analytic_row(params):
 
 
 def _sim_row(params, seed, num_bi):
+    import numpy as np
+
     timings = derive_timings(params)
     stats = run_simulation(params, timings, seed, num_bi)
     report = empirical_report(stats, params)

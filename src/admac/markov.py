@@ -21,6 +21,8 @@ actually has, and is what the performance metrics use.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .config import window_sizes
 from .errors import InfeasibleModelError, InternalConsistencyError
@@ -266,6 +268,40 @@ class _PacketCycle:
     zero_share: float
 
 
+def _stage_walk(p_idle, p_zero, widths):
+    """Collision odds of an attempt at each stage, and the reach of each stage.
+
+    Returns the drop probability, the per-stage collision odds and the
+    chance that a packet reaches each stage.  Shared by ``_packet_cycle``
+    and ``_zero_share`` so that both see the same floats.
+    """
+    head = p_idle * (widths[0] - 1) / widths[0]
+    stage_p = [p_idle * (w - 1) / w + p_zero / w for w in widths]
+    upper = math.prod(stage_p[1:])
+    drop = head * upper / (1.0 - (p_zero - head) * upper)
+    stage_p[0] = head * (1.0 - drop) + p_zero * drop
+
+    reach = list(accumulate(stage_p[:-1], mul, initial=1.0))
+    return drop, stage_p, reach
+
+
+def _share_after_collision(stage_p, reach, widths):
+    """Chance that a station leaving a collision transmits again at once."""
+    collided = list(map(mul, reach, stage_p))
+    zero_next = [1.0 / w for w in widths[1:]] + [1.0]
+    total_collided = sum(collided)
+    return (
+        sum(map(mul, collided, zero_next)) / total_collided
+        if total_collided > 0.0 else 0.0
+    )
+
+
+def _zero_share(p_idle, p_zero, widths):
+    """``_packet_cycle(p_idle, p_zero, widths).zero_share``, and nothing else."""
+    _, stage_p, reach = _stage_walk(p_idle, p_zero, widths)
+    return _share_after_collision(stage_p, reach, widths)
+
+
 def _packet_cycle(p_idle, p_zero, widths):
     """Walk one packet through the stages.
 
@@ -276,23 +312,8 @@ def _packet_cycle(p_idle, p_zero, widths):
     straight after the collision.  ``zero_share`` is the chance that a
     station leaving a collision transmits again at once.
     """
-    head = p_idle * (widths[0] - 1) / widths[0]
-    stage_p = [p_idle * (w - 1) / w + p_zero / w for w in widths]
-    upper = math.prod(stage_p[1:])
-    drop = head * upper / (1.0 - (p_zero - head) * upper)
-    stage_p[0] = head * (1.0 - drop) + p_zero * drop
-
-    reach = [1.0]
-    for c in stage_p[:-1]:
-        reach.append(reach[-1] * c)
+    drop, stage_p, reach = _stage_walk(p_idle, p_zero, widths)
     fresh = [1.0 - drop] + reach[1:]
-    collided = [r * c for r, c in zip(reach, stage_p)]
-    zero_next = [1.0 / w for w in widths[1:]] + [1.0]
-    total_collided = sum(collided)
-    zero_share = (
-        sum(c * z for c, z in zip(collided, zero_next)) / total_collided
-        if total_collided > 0.0 else 0.0
-    )
     return _PacketCycle(
         drop_prob=drop,
         attempts=sum(reach),
@@ -300,31 +321,46 @@ def _packet_cycle(p_idle, p_zero, widths):
         zero_after_collision=drop + sum(
             r / w for r, w in zip(reach[1:], widths[1:])),
         decrements=sum(f * (w - 1) / 2.0 for f, w in zip(fresh, widths)),
-        zero_share=zero_share,
+        zero_share=_share_after_collision(stage_p, reach, widths),
     )
 
 
-def _after_collision(alpha, n_k, zero_share):
-    """Chance that a zero drawn after a collision meets another collider's.
+def _after_collision(alpha, n_k):
+    """Collision odds of attempts after an idle slot and after a collision.
 
-    The station's co-colliders are the others that reached zero on the
-    same idle slot, binomial(n_k - 1, alpha) given at least one; each of
-    them transmits again at once with ``zero_share``.  The difference of
-    powers is taken through expm1 to keep it accurate.
+    An attempt after an idle slot collides when one of the other n_k - 1
+    stations reached zero on it too, with chance p_idle.  The station's
+    co-colliders are those others, binomial(n_k - 1, alpha) given at least
+    one; each of them transmits again at once with ``zero_share``.  Returns
+    p_idle and the after-collision odds as a function of ``zero_share``,
+    with the terms of ``alpha`` alone computed once.  The difference of
+    powers (1 - alpha zero_share)^k - (1 - alpha)^k is taken through expm1
+    to keep it accurate, and directly where the ratio of the powers passes
+    the float range (n_k from about 1175 up).
     """
     k = n_k - 1
-    log_none = k * math.log1p(-alpha)
-    gain = math.expm1(k * (math.log1p(-alpha * zero_share) - math.log1p(-alpha)))
-    return 1.0 + math.exp(log_none) * gain / math.expm1(log_none)
+    log_idle = math.log1p(-alpha)
+    log_none = k * log_idle
+    none = math.exp(log_none)
+    p_idle = -math.expm1(log_none)
+
+    def odds(zero_share):
+        log_zero = math.log1p(-alpha * zero_share)
+        try:
+            gain = math.expm1(k * (log_zero - log_idle))
+        except OverflowError:
+            return 1.0 - (math.exp(k * log_zero) - none) / p_idle
+        return 1.0 - none * gain / p_idle
+
+    return p_idle, odds
 
 
 def _coupled_cycle(alpha, n_k, widths, max_iter):
     """Packet cycle at ``alpha`` with the after-collision odds made consistent."""
-    p_idle = -math.expm1((n_k - 1) * math.log1p(-alpha))
+    p_idle, odds = _after_collision(alpha, n_k)
     p_zero = 0.0
     for _ in range(max_iter):
-        cycle = _packet_cycle(p_idle, p_zero, widths)
-        nxt = _after_collision(alpha, n_k, cycle.zero_share)
+        nxt = odds(_zero_share(p_idle, p_zero, widths))
         if abs(nxt - p_zero) <= ZERO_ODDS_TOL:
             return p_idle, nxt, _packet_cycle(p_idle, nxt, widths)
         p_zero = nxt

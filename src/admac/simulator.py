@@ -15,14 +15,13 @@ advances only on idle slots, and stores each counter as its firing time
 is one clock jump to the heap top; the stations at zero are the entries
 whose ``fire`` equals the clock.  In the transmission-free tail of a window
 (``gap`` slots) the entries at or below ``clock + gap`` are re-keyed: zeros
-to ``clock + gap``, the rest to ``clock + gap + 1``.
+to ``clock + gap``, the rest to ``clock + gap + 1``.  numpy is imported
+inside the functions that use it, so the analytic path never loads it.
 """
 
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-
-import numpy as np
 
 from .config import derive_sector_models, window_sizes
 from .errors import ConfigError
@@ -36,6 +35,8 @@ class _Stream:
     """Buffered per-station uniform-draw stream on a Philox generator."""
 
     def __init__(self, seed, station_id):
+        import numpy as np
+
         self.gen = np.random.Generator(
             np.random.Philox(key=(seed << 20) + station_id)
         )
@@ -131,6 +132,8 @@ class SimStats:
 
 def run_simulation(params, timings, seed, num_bi=200):
     """Simulate ``num_bi`` beacon intervals; deterministic in ``seed``."""
+    import numpy as np
+
     if num_bi < 1:
         raise ConfigError(f"num_bi must be >= 1, got {num_bi}")
     derive_sector_models(params, timings)  # validates window vs frame fit
@@ -240,6 +243,8 @@ def run_simulation(params, timings, seed, num_bi=200):
 
 def empirical_report(stats, params):
     """Map run counters to utilization, delay, and drop statistics."""
+    import numpy as np
+
     sigma = params.slot_time
     us, delays, drops = [], [], []
     for k, cbap_k in enumerate(stats.sector_cbap_slots):

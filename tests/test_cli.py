@@ -191,6 +191,16 @@ def test_sweep_continues_past_infeasible_point(tmp_path):
     assert 0.0 < float(good["u"]) < 1.0
 
 
+def test_large_population_solves_and_sweeps(tmp_path):
+    # from n_k ~ 1175 up the after-collision odds pass the float range of expm1
+    assert main(["solve", "--n", "1200", "--cbap-fraction", "0.4"]) in (0, 2)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--param", "n", "--values", "10,2000",
+                 "--mode", "analytic", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [row["n"] for row in rows] == ["10", "2000"]
+
+
 def test_sweep_spec_validation():
     from admac import ConfigError
     good = dict(param="n", values=(5,), base_overrides={},
@@ -320,6 +330,29 @@ def test_analytic_and_simulate_paths_do_not_import_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_analytic_and_compare_paths_do_not_import_numpy(tmp_path):
+    # numpy serves only the simulator and the oracle; importing it costs
+    # more than the rest of the package's start-up
+    analytic, sim = tmp_path / "a.csv", tmp_path / "s.csv"
+    sim.write_text(
+        "config_hash,seed,n,q,w0,m,cbap_fraction,u_sectors,u,mean_delay_s,"
+        "drop_prob,num_bi\n"
+        "x,0,10,1,7,5,0.4,0.33,0.33,0.0015,0.02,2\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import admac\n"
+        "from admac import cli\n"
+        f"assert cli.main(['solve', '--n', '10', '--cbap-fraction', '0.4',"
+        f" '--out', {str(analytic)!r}]) == 0\n"
+        f"assert cli.main(['compare', {str(analytic)!r}, {str(sim)!r}]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_config_hash_is_stable_and_sensitive():

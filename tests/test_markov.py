@@ -1,12 +1,16 @@
 """Closed-form normalization, fixed point, and steady-state vector."""
 
-import pytest
+from decimal import Decimal, localcontext
 
-from admac import (InfeasibleModelError, b000_closed_form, build_chain,
-                   collision_probability, eta_terms, raw_sector,
+import pytest
+from hypothesis import given, settings, strategies
+
+from admac import (AdmacError, InfeasibleModelError, b000_closed_form,
+                   build_chain, collision_probability, eta_terms, raw_sector,
                    solve_fixed_point, solve_idle_slot_coupling,
                    stationary_distribution, steady_state_vector, tau_of,
                    window_sizes)
+from admac.markov import _after_collision, _packet_cycle, _zero_share
 
 
 def test_eta_terms_degenerate_case():
@@ -273,3 +277,62 @@ def test_coupling_attempt_after_idle_collides_more_than_chain_step_rate():
 def test_coupling_rejects_regimes_without_steady_state(args):
     with pytest.raises(InfeasibleModelError):
         solve_idle_slot_coupling(**args)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n_k=strategies.integers(1, 2 ** 20), w0=strategies.integers(1, 64),
+       m=strategies.integers(0, 7),
+       rule=strategies.sampled_from(("doubling", "doubling-minus-one")))
+def test_coupling_is_a_valid_operating_point_or_a_model_error(n_k, w0, m, rule):
+    try:
+        sol = solve_idle_slot_coupling(n_k, w0, m, window_rule=rule)
+    except AdmacError:
+        return
+    assert sol.residual <= 1e-10
+    assert 0.0 <= sol.tau <= 1.0
+    assert 0.0 <= sol.p <= 1.0
+    assert 0.0 <= sol.drop_prob <= 1.0
+    st = sol.steps
+    assert abs(st.p_idle + st.p_suc + st.p_col - 1.0) <= 1e-12
+    assert abs(st.po_idle + st.po_suc + st.po_col - 1.0) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p_idle=strategies.floats(0.0, 1.0), p_zero=strategies.floats(0.0, 1.0),
+       w0=strategies.integers(2, 64), m=strategies.integers(0, 7),
+       rule=strategies.sampled_from(("doubling", "doubling-minus-one")))
+def test_zero_share_equals_the_packet_cycle_float(p_idle, p_zero, w0, m, rule):
+    widths = window_sizes(w0, m, rule)
+    try:
+        cycle = _packet_cycle(p_idle, p_zero, widths)
+    except ZeroDivisionError:  # every attempt collides and none is dropped
+        with pytest.raises(ZeroDivisionError):
+            _zero_share(p_idle, p_zero, widths)
+        return
+    assert _zero_share(p_idle, p_zero, widths) == cycle.zero_share
+
+
+@pytest.mark.parametrize("alpha, n_k, zero_share", [
+    (0.3, 2, 0.5),
+    (1e-6, 11, 0.25),
+    (0.1, 50, 0.9),
+    (0.02, 1200, 0.3),
+    (1e-7, 2 ** 20, 0.6),
+    # (1 - alpha z)^k / (1 - alpha)^k passes the float range
+    (0.6, 1200, 1e-4),
+    (1e-3, 2 ** 20, 1e-2),
+    (0.5, 2 ** 20, 0.01),
+])
+def test_after_collision_odds_match_exact_powers(alpha, n_k, zero_share):
+    # 1 + ((1 - alpha z)^k - (1 - alpha)^k) / ((1 - alpha)^k - 1) in
+    # 60-digit decimal arithmetic
+    k = n_k - 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, z = Decimal(alpha), Decimal(zero_share)
+        none = (1 - a) ** k
+        exact_idle = float(1 - none)
+        exact = float(1 + ((1 - a * z) ** k - none) / (none - 1))
+    p_idle, odds = _after_collision(alpha, n_k)
+    assert p_idle == pytest.approx(exact_idle, rel=1e-12)
+    assert odds(zero_share) == pytest.approx(exact, rel=1e-11)

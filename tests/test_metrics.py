@@ -316,3 +316,19 @@ def test_analyze_solves_coupling_once_per_population(monkeypatch):
     assert sorted(solved) == [12, 13]
     assert report.diagnostics[0] is report.diagnostics[1]
     assert report.diagnostics[2] is report.diagnostics[3]
+
+
+@pytest.mark.parametrize("n, q, w0, share, u, delay, drop", [
+    (10, 1, 7, 0.4, 0.33505991793871015, 0.0017965294793220355,
+     0.020076766744955867),
+    (50, 4, 15, 0.4, 0.33644589363241484, None, None),
+    (30, 1, 31, 0.7, 0.32818146771866163, None, None),
+], ids=["n10-q1-w7", "n50-q4-w15", "n30-q1-w31"])
+def test_analyze_floats_are_pinned(n, q, w0, share, u, delay, drop):
+    # exact floats: a change to the coupling's arithmetic shows here
+    report = analyze(make_params(n=n, q=q, w0=w0,
+                                 cbap_slots=round(share * 20000)))
+    assert report.aggregate_u == u
+    if delay is not None:
+        assert report.per_sector_delay == (delay,)
+        assert report.per_sector_drop_prob == (drop,)
