@@ -5,46 +5,48 @@ beacon interval; backoff counters freeze outside it.  The package computes
 saturation throughput and MAC delay from a per-station Markov chain, checks
 the closed form against an explicit-chain oracle, and cross-validates both
 against a deterministic slot-level simulator.
+
+The names below load their submodule on first use (PEP 562), so that
+``import admac`` costs no more than the names a caller touches.
 """
 
-from .chain import (DEFAULT_GRID, ExplicitChain, build_chain, raw_sector,
-                    stationary_distribution, validation_report)
-from .config import (DEFAULTS, ModelParams, SectorModel, TimingDurations,
-                     derive_sector_models, derive_timings, frame_airtime,
-                     make_params, parse_config_file, slot_quantized,
-                     window_sizes)
-from .errors import (AdmacError, ConfigError, InfeasibleModelError,
-                     InternalConsistencyError, OracleError, OracleSizeError,
-                     ValidationError)
-from .markov import (CoupledSolution, FixedPointSolution, SteadyStateVector,
-                     b000_closed_form, collision_probability, eta_terms,
-                     solve_fixed_point, solve_idle_slot_coupling,
-                     steady_state_vector, tau_of)
-from .metrics import (PerformanceReport, SlotProbabilities,
-                      aggregate_utilization, analyze, expected_delay,
-                      sector_utilization, sigma_avg, slot_probabilities)
-from .simulator import (SectorSchedule, SimStats, Station, empirical_report,
-                        make_stations, run_simulation, schedule_from_params)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmacError", "ConfigError", "InfeasibleModelError",
-    "InternalConsistencyError", "OracleError", "OracleSizeError",
-    "ValidationError",
-    "DEFAULTS", "ModelParams", "SectorModel", "TimingDurations",
-    "derive_sector_models", "derive_timings", "frame_airtime", "make_params",
-    "parse_config_file", "slot_quantized", "window_sizes",
-    "CoupledSolution", "FixedPointSolution", "SteadyStateVector",
-    "b000_closed_form", "collision_probability", "eta_terms",
-    "solve_fixed_point", "solve_idle_slot_coupling", "steady_state_vector",
-    "tau_of",
-    "DEFAULT_GRID", "ExplicitChain", "build_chain", "raw_sector",
-    "stationary_distribution", "validation_report",
-    "PerformanceReport", "SlotProbabilities", "aggregate_utilization",
-    "analyze", "expected_delay", "sector_utilization", "sigma_avg",
-    "slot_probabilities",
-    "SectorSchedule", "SimStats", "Station", "empirical_report",
-    "make_stations", "run_simulation", "schedule_from_params",
-    "__version__",
-]
+_EXPORTS = {
+    "errors": ("AdmacError", "ConfigError", "InfeasibleModelError",
+               "InternalConsistencyError", "OracleError", "OracleSizeError",
+               "ValidationError"),
+    "config": ("DEFAULTS", "ModelParams", "SectorModel", "TimingDurations",
+               "derive_sector_models", "derive_timings", "frame_airtime",
+               "make_params", "parse_config_file", "slot_quantized",
+               "window_sizes"),
+    "markov": ("CoupledSolution", "FixedPointSolution", "SteadyStateVector",
+               "b000_closed_form", "collision_probability", "eta_terms",
+               "solve_fixed_point", "solve_idle_slot_coupling",
+               "steady_state_vector", "tau_of"),
+    "chain": ("DEFAULT_GRID", "ExplicitChain", "build_chain", "raw_sector",
+              "stationary_distribution", "validation_report"),
+    "metrics": ("PerformanceReport", "SlotProbabilities",
+                "aggregate_utilization", "analyze", "expected_delay",
+                "sector_utilization", "sigma_avg", "slot_probabilities"),
+    "simulator": ("SectorSchedule", "SimStats", "Station", "empirical_report",
+                  "make_stations", "run_simulation", "schedule_from_params"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

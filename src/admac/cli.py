@@ -24,15 +24,12 @@ import hashlib
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
-from .chain import DEFAULT_GRID, validation_report
 from .config import (DEFAULTS, ModelParams, derive_timings, make_params,
                      parse_config_file)
 from .errors import AdmacError, ConfigError, ValidationError
 from .metrics import analyze
-from .simulator import empirical_report, run_simulation
 
 BASE_COLUMNS = (
     "config_hash", "seed", "n", "q", "w0", "m", "cbap_fraction",
@@ -71,18 +68,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def config_hash(params):
-    """Short stable digest of every effective parameter."""
+def _provenance(params):
+    """``name=value`` lines of every effective parameter, and their digest.
+
+    The lines are sorted by name and end with ``config_hash=<digest>``.
+    """
     lines = []
     for f in sorted(fields(ModelParams), key=lambda f: f.name):
         value = getattr(params, f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-        else:
-            rendered = repr(value)
-        lines.append(f"{f.name}={rendered}")
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    return digest[:12]
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+        lines.append(f"{f.name}={text}")
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
+    lines.append(f"config_hash={digest}")
+    return lines, digest
+
+
+def config_hash(params):
+    """Short stable digest of every effective parameter."""
+    return _provenance(params)[1]
 
 
 def parse_seeds(text):
@@ -94,8 +97,7 @@ def parse_seeds(text):
             continue
         if "-" in part:
             try:
-                lo, hi = part.split("-")
-                lo, hi = int(lo), int(hi)
+                lo, hi = map(int, part.split("-"))
             except ValueError:
                 raise ConfigError(f"bad seed range {part!r}")
             if hi < lo:
@@ -125,83 +127,65 @@ def _collect_overrides(args):
     merged = dict(DEFAULTS)
     merged.update(overrides)
     if getattr(args, "bi_ms", None) is not None:
-        overrides["bi_slots"] = round(
-            args.bi_ms * 1e-3 / merged["slot_time"]
-        )
+        overrides["bi_slots"] = round(args.bi_ms * 1e-3 / merged["slot_time"])
     if getattr(args, "cbap_fraction", None) is not None:
         bi_slots = overrides.get("bi_slots", merged["bi_slots"])
         overrides["cbap_slots"] = round(args.cbap_fraction * bi_slots)
     return overrides
 
 
-def _analytic_row(params):
+def _row(params, digest, report, **measured):
+    """Output row of one point: its identity, its utilizations, ``measured``."""
+    return {
+        "config_hash": digest, "n": params.n, "q": params.q, "w0": params.w0,
+        "m": params.m, "cbap_fraction": params.cbap_slots / params.bi_slots,
+        "u_sectors": ";".join(str(u) for u in report.per_sector_u),
+        "u": report.aggregate_u, **measured,
+    }
+
+
+def _analytic_row(params, digest):
     report = analyze(params)
     weights = params.cbap_split
     total = sum(weights)
     delay = sum(d * c for d, c in zip(report.per_sector_delay, weights)) / total
     drop = sum(d * c for d, c in zip(report.per_sector_drop_prob, weights)) / total
-    return {
-        "config_hash": config_hash(params),
-        "seed": None,
-        "n": params.n,
-        "q": params.q,
-        "w0": params.w0,
-        "m": params.m,
-        "cbap_fraction": params.cbap_slots / params.bi_slots,
-        "u_sectors": ";".join(str(u) for u in report.per_sector_u),
-        "u": report.aggregate_u,
-        "mean_delay_s": delay,
-        "drop_prob": drop,
-        "num_bi": None,
-    }
+    return _row(params, digest, report, seed=None, mean_delay_s=delay,
+                drop_prob=drop, num_bi=None)
 
 
-def _sim_row(params, seed, num_bi):
+def _sim_row(params, digest, seed, num_bi):
     import numpy as np
 
-    timings = derive_timings(params)
-    stats = run_simulation(params, timings, seed, num_bi)
+    from .simulator import empirical_report, run_simulation
+
+    stats = run_simulation(params, derive_timings(params), seed, num_bi)
     report = empirical_report(stats, params)
     all_delays = np.concatenate(stats.delays) if stats.delays else np.array([])
+    delay = float(np.mean(all_delays)) if all_delays.size else None
     finished = sum(stats.successes) + sum(stats.dropped)
-    return {
-        "config_hash": config_hash(params),
-        "seed": seed,
-        "n": params.n,
-        "q": params.q,
-        "w0": params.w0,
-        "m": params.m,
-        "cbap_fraction": params.cbap_slots / params.bi_slots,
-        "u_sectors": ";".join(str(u) for u in report.per_sector_u),
-        "u": report.aggregate_u,
-        "mean_delay_s": float(np.mean(all_delays)) if all_delays.size else None,
-        "drop_prob": sum(stats.dropped) / finished if finished else None,
-        "num_bi": num_bi,
-    }
+    drop = sum(stats.dropped) / finished if finished else None
+    return _row(params, digest, report, seed=seed, mean_delay_s=delay,
+                drop_prob=drop, num_bi=num_bi)
 
 
 def _point_overrides(base_overrides, param, value):
-    overrides = dict(base_overrides)
-    if param == "cbap_fraction":
-        merged = dict(DEFAULTS)
-        merged.update(overrides)
-        overrides["cbap_slots"] = round(value * merged["bi_slots"])
-    else:
-        overrides[param] = value
-    return overrides
+    if param != "cbap_fraction":
+        return {**base_overrides, param: value}
+    bi_slots = {**DEFAULTS, **base_overrides}["bi_slots"]
+    return {**base_overrides, "cbap_slots": round(value * bi_slots)}
 
 
 def _sweep_point(task):
     """Worker for one sweep row; returns (sort_key, row)."""
     base_overrides, param, index, value, mode, seed, num_bi = task
-    row = {key: None for key in SWEEP_COLUMNS}
-    row.update({"mode": mode, "error": None})
+    row = {**dict.fromkeys(SWEEP_COLUMNS), "mode": mode}
     try:
         params = make_params(**_point_overrides(base_overrides, param, value))
         if mode == "analytic":
-            row.update(_analytic_row(params))
+            row.update(_analytic_row(params, config_hash(params)))
         else:
-            row.update(_sim_row(params, seed, num_bi))
+            row.update(_sim_row(params, config_hash(params), seed, num_bi))
     except AdmacError as exc:
         row["error"] = str(exc)
         row[param] = value
@@ -210,37 +194,35 @@ def _sweep_point(task):
     return (index, mode, sort_seed), row
 
 
-def _workers(jobs):
-    """Worker processes for ``--jobs``: at most one per CPU."""
-    return min(jobs, os.cpu_count() or 1)
+def _map(fn, tasks, jobs):
+    """``fn`` of every task, in order, over at most one process per CPU.
+
+    A pool starts only for two or more workers, and only then is
+    ``concurrent.futures`` (with ``multiprocessing``) imported.
+    """
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers < 2:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def run_sweep(spec):
     """All sweep rows, sorted by swept value, then mode, then seed."""
-    tasks = []
-    for index, value in enumerate(spec.values):
-        for mode in spec.modes:
-            if mode == "analytic":
-                tasks.append((spec.base_overrides, spec.param, index, value,
-                              mode, None, spec.num_bi))
-            else:
-                for seed in spec.seeds:
-                    tasks.append((spec.base_overrides, spec.param, index,
-                                  value, mode, seed, spec.num_bi))
-    workers = _workers(spec.jobs)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(task) for task in tasks]
+    tasks = [(spec.base_overrides, spec.param, index, value, mode, seed,
+              spec.num_bi)
+             for index, value in enumerate(spec.values)
+             for mode in spec.modes
+             for seed in ((None,) if mode == "analytic" else spec.seeds)]
+    results = _map(_sweep_point, tasks, spec.jobs)
     results.sort(key=lambda pair: pair[0])
     return [row for _, row in results]
 
 
 def _render(value):
-    if value is None:
-        return ""
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _write_csv(path, comment_lines, columns, rows):
@@ -251,7 +233,11 @@ def _write_csv(path, comment_lines, columns, rows):
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_render(row[col]) for col in columns])
-    text = buffer.getvalue()
+    _emit(path, buffer.getvalue())
+
+
+def _emit(path, text):
+    """Write ``text`` to ``path``, or to standard output without one."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -259,42 +245,20 @@ def _write_csv(path, comment_lines, columns, rows):
             fh.write(text)
 
 
-def _config_comments(params):
-    lines = []
-    for f in sorted(fields(ModelParams), key=lambda f: f.name):
-        value = getattr(params, f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-        else:
-            rendered = repr(value)
-        lines.append(f"{f.name}={rendered}")
-    lines.append(f"config_hash={config_hash(params)}")
-    return lines
-
-
 def _cmd_solve(args):
     params = make_params(**_collect_overrides(args))
-    _write_csv(args.out, _config_comments(params), BASE_COLUMNS,
-               [_analytic_row(params)])
+    comments, digest = _provenance(params)
+    _write_csv(args.out, comments, BASE_COLUMNS, [_analytic_row(params, digest)])
     return 0
 
 
 def _cmd_simulate(args):
     params = make_params(**_collect_overrides(args))
-    seeds = parse_seeds(args.seeds)
-    workers = _workers(args.jobs)
-    if workers > 1:
-        tasks = [(params, seed, args.num_bi) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_simulate_star, tasks))
-    else:
-        rows = [_sim_row(params, seed, args.num_bi) for seed in seeds]
-    _write_csv(args.out, _config_comments(params), BASE_COLUMNS, rows)
+    comments, digest = _provenance(params)
+    run = functools.partial(_sim_row, params, digest, num_bi=args.num_bi)
+    rows = _map(run, parse_seeds(args.seeds), args.jobs)
+    _write_csv(args.out, comments, BASE_COLUMNS, rows)
     return 0
-
-
-def _simulate_star(task):
-    return _sim_row(*task)
 
 
 def _parse_sweep_values(param, text):
@@ -303,12 +267,7 @@ def _parse_sweep_values(param, text):
         part = part.strip()
         if not part:
             continue
-        if param == "cbap_fraction":
-            try:
-                values.append(float(part))
-            except ValueError:
-                raise ConfigError(f"bad sweep value {part!r}")
-        elif "-" in part:
+        if param != "cbap_fraction" and "-" in part:
             try:
                 span, step = part.split(":") if ":" in part else (part, "1")
                 lo, hi = span.split("-")
@@ -320,7 +279,7 @@ def _parse_sweep_values(param, text):
             values.extend(range(lo, hi + 1, step))
         else:
             try:
-                values.append(int(part))
+                values.append(float(part) if param == "cbap_fraction" else int(part))
             except ValueError:
                 raise ConfigError(f"bad sweep value {part!r}")
     if not values:
@@ -339,15 +298,16 @@ def _cmd_sweep(args):
         num_bi=args.num_bi,
         jobs=args.jobs,
     )
-    base_params = make_params(**spec.base_overrides)
     comments = [f"sweep_param={spec.param}",
-                f"sweep_values={','.join(str(v) for v in spec.values)}"]
-    comments.extend(_config_comments(base_params))
+                f"sweep_values={','.join(str(v) for v in spec.values)}",
+                *_provenance(make_params(**spec.base_overrides))[0]]
     _write_csv(args.out, comments, SWEEP_COLUMNS, run_sweep(spec))
     return 0
 
 
 def _cmd_validate(args):
+    from .chain import DEFAULT_GRID, validation_report
+
     rows = validation_report(DEFAULT_GRID)
     worst = 0.0
     lines = [
@@ -363,12 +323,7 @@ def _cmd_validate(args):
             f"{row['b000_rel_err']:>10.2e} {row['tau_rel_err']:>10.2e}"
         )
     lines.append(f"worst relative error: {worst:.3e} over {len(rows)} points")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
     if worst > args.tol:
         raise ValidationError(
             f"closed form vs oracle: worst relative error {worst:.3e} "
@@ -377,29 +332,60 @@ def _cmd_validate(args):
     return 0
 
 
-def _read_csv_rows(path):
+def _read_csv(path):
+    """The ``name=value`` pairs of a CSV's comment lines, and its data rows."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    return list(reader)
+        lines = fh.readlines()
+    comments = dict(line[1:].strip().partition("=")[::2]
+                    for line in lines if line.startswith("#"))
+    rows = csv.DictReader(line for line in lines if not line.startswith("#"))
+    return comments, list(rows)
 
 
 _JOIN_KEY = ("n", "q", "w0", "m", "cbap_fraction")
 
 
 def _group_rows(rows, role):
+    """Rows of ``role`` with a result, by ``config_hash``."""
     grouped = {}
     for row in rows:
-        mode = row.get("mode")
-        if mode and mode != role:
+        if (row.get("mode") or role) != role or row.get("error"):
             continue
-        if row.get("error"):
-            continue
-        if not row.get("u"):
-            continue
-        key = tuple(row[k] for k in _JOIN_KEY)
-        grouped.setdefault(key, []).append(row)
+        if row.get("u") and row.get("config_hash"):
+            grouped.setdefault(row["config_hash"], []).append(row)
     return grouped
+
+
+def _point(rows):
+    return tuple(rows[0][k] for k in _JOIN_KEY)
+
+
+def _check_same_configs(args, analytic, simulated, a_conf, s_conf):
+    """Refuse a point that the two files hold under different configurations.
+
+    ``a_conf`` and ``s_conf`` are the files' ``name=value`` comment lines;
+    where they describe the unmatched rows, the message names the parameters
+    that differ.
+    """
+    a_points, s_points = {}, {}
+    for grouped, points in ((analytic, a_points), (simulated, s_points)):
+        for digest, rows in grouped.items():
+            points.setdefault(_point(rows), set()).add(digest)
+    for point in sorted(a_points.keys() & s_points.keys()):
+        a_hashes, s_hashes = a_points[point], s_points[point]
+        if a_hashes == s_hashes:
+            continue
+        where = " ".join(f"{k}={v}" for k, v in zip(_JOIN_KEY, point))
+        message = (f"{where} has config_hash {', '.join(sorted(a_hashes))} in "
+                   f"{args.analytic_csv} but {', '.join(sorted(s_hashes))} in "
+                   f"{args.sim_csv}")
+        if (a_conf.get("config_hash") in a_hashes - s_hashes
+                and s_conf.get("config_hash") in s_hashes - a_hashes):
+            differ = [f"{name} ({a_conf.get(name)} against {s_conf.get(name)})"
+                      for name in sorted(f.name for f in fields(ModelParams))
+                      if a_conf.get(name) != s_conf.get(name)]
+            message += f"; the parameters differ in {', '.join(differ)}"
+        raise ConfigError(message)
 
 
 def _mean_of(rows, column):
@@ -408,19 +394,22 @@ def _mean_of(rows, column):
 
 
 def _cmd_compare(args):
-    analytic = _group_rows(_read_csv_rows(args.analytic_csv), "analytic")
-    simulated = _group_rows(_read_csv_rows(args.sim_csv), "sim")
-    shared = sorted(set(analytic) & set(simulated))
+    a_conf, a_rows = _read_csv(args.analytic_csv)
+    s_conf, s_rows = _read_csv(args.sim_csv)
+    analytic = _group_rows(a_rows, "analytic")
+    simulated = _group_rows(s_rows, "sim")
+    _check_same_configs(args, analytic, simulated, a_conf, s_conf)
+    shared = sorted(analytic.keys() & simulated.keys(),
+                    key=lambda digest: (_point(analytic[digest]), digest))
     if not shared:
         raise ConfigError("no joinable rows between the two CSV files")
     out_rows = []
-    for key in shared:
-        u_a = _mean_of(analytic[key], "u")
-        u_s = _mean_of(simulated[key], "u")
-        d_a = _mean_of(analytic[key], "mean_delay_s")
-        d_s = _mean_of(simulated[key], "mean_delay_s")
-        row = dict(zip(_JOIN_KEY, key))
-        row.update({
+    for digest in shared:
+        a_rows, s_rows = analytic[digest], simulated[digest]
+        u_a, d_a = _mean_of(a_rows, "u"), _mean_of(a_rows, "mean_delay_s")
+        u_s, d_s = _mean_of(s_rows, "u"), _mean_of(s_rows, "mean_delay_s")
+        out_rows.append({
+            **dict(zip(_JOIN_KEY, _point(a_rows))),
             "u_analytic": u_a,
             "u_sim": u_s,
             "u_rel_err": (u_s - u_a) / u_a if u_a else None,
@@ -428,7 +417,6 @@ def _cmd_compare(args):
             "delay_sim_s": d_s,
             "delay_rel_err": (d_s - d_a) / d_a if d_a and d_s else None,
         })
-        out_rows.append(row)
     columns = _JOIN_KEY + ("u_analytic", "u_sim", "u_rel_err",
                            "delay_analytic_s", "delay_sim_s", "delay_rel_err")
     _write_csv(args.out, [f"compare={args.analytic_csv} vs {args.sim_csv}"],
@@ -452,6 +440,21 @@ def _add_config_flags(parser):
     parser.add_argument("--out", help="output path (default stdout)")
 
 
+def _at_least_one(text):
+    """Value of ``--num-bi`` or ``--jobs``: an integer of 1 or more."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _add_run_flags(parser):
+    parser.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 0,3,7")
+    parser.add_argument("--num-bi", type=_at_least_one, default=200,
+                        dest="num_bi", help="beacon intervals per run")
+    parser.add_argument("--jobs", type=_at_least_one, default=1,
+                        help="worker processes, at most one per CPU")
+
+
 def build_parser():
     parser = _Parser(prog="admac",
                      description="Sectored CSMA/CA model and simulator")
@@ -462,22 +465,16 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="single simulated point")
     _add_config_flags(p_sim)
-    p_sim.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 0,3,7")
-    p_sim.add_argument("--num-bi", type=int, default=200, dest="num_bi")
-    p_sim.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, at most one per CPU")
+    _add_run_flags(p_sim)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     _add_config_flags(p_sweep)
+    _add_run_flags(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument("--values", required=True,
                          help="e.g. 10-50:10 or 0.2,0.4,1.0")
     p_sweep.add_argument("--mode", default="both",
                          choices=("analytic", "sim", "both"))
-    p_sweep.add_argument("--seeds", default="0-9")
-    p_sweep.add_argument("--num-bi", type=int, default=200, dest="num_bi")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes, at most one per CPU")
 
     p_val = sub.add_parser("validate", help="closed form vs explicit chain")
     p_val.add_argument("--tol", type=float, default=1e-6)

@@ -1,5 +1,6 @@
 """CLI harness: subcommands, CSV schema, precedence, and exit codes."""
 
+import concurrent.futures
 import csv
 import subprocess
 import sys
@@ -244,7 +245,8 @@ class RecordingExecutor:
 def test_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, cpus, expected):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingExecutor, "created", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
     assert main(["simulate", "--n", "4", "--seeds", "0-2", "--num-bi", "2",
                  "--jobs", "64", "--out", str(tmp_path / "sim.csv")]) == 0
     assert RecordingExecutor.created == expected
@@ -252,6 +254,23 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, cpus, expected):
                  "sim", "--seeds", "0", "--num-bi", "2", "--jobs", "64",
                  "--out", str(tmp_path / "sweep.csv")]) == 0
     assert RecordingExecutor.created == expected * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--jobs", "0"],
+    ["simulate", "--jobs", "-2"],
+    ["simulate", "--num-bi", "0"],
+    ["sweep", "--param", "n", "--values", "4", "--jobs", "0"],
+    ["sweep", "--param", "n", "--values", "4", "--mode", "sim", "--num-bi", "0"],
+], ids=["simulate-jobs-0", "simulate-jobs-negative", "simulate-num-bi-0",
+        "sweep-jobs-0", "sweep-num-bi-0"])
+def test_jobs_and_num_bi_below_one_are_config_errors(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--n", "4", "--seeds", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "expected an integer >= 1" in err
+    assert not out.exists()
 
 
 # --- validate ---
@@ -303,6 +322,40 @@ def test_compare_without_join_is_config_error(tmp_path, capsys):
     assert "no joinable rows" in capsys.readouterr().err
 
 
+def test_compare_refuses_same_point_under_other_configuration(tmp_path, capsys):
+    analytic_csv, sim_csv = tmp_path / "a.csv", tmp_path / "s.csv"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("msdu_bytes = 1000\n")
+    point = ["--n", "10", "--cbap-fraction", "0.4"]
+    assert main(["solve", *point, "--out", str(analytic_csv)]) == 0
+    assert main(["simulate", *point, "--seeds", "0", "--num-bi", "5",
+                 "--config", str(cfg), "--out", str(sim_csv)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(analytic_csv), str(sim_csv)]) == 1
+    err = capsys.readouterr().err
+    (_, (a_row,)), (_, (s_row,)) = read_csv(analytic_csv), read_csv(sim_csv)
+    assert a_row["config_hash"] != s_row["config_hash"]
+    assert a_row["config_hash"] in err and s_row["config_hash"] in err
+    assert "msdu_bytes (7995 against 1000)" in err
+
+
+def test_compare_names_no_parameters_for_sweep_rows(tmp_path, capsys):
+    # a sweep's comment lines describe its base configuration (here n=6),
+    # not the rows, so the message cannot say which parameters differ
+    analytic_csv, sim_csv = tmp_path / "a.csv", tmp_path / "s.csv"
+    assert main(["sweep", "--param", "n", "--values", "4,10", "--n", "6",
+                 "--mode", "analytic", "--cbap-fraction", "0.4",
+                 "--out", str(analytic_csv)]) == 0
+    assert main(["simulate", "--n", "10", "--cbap-fraction", "0.4",
+                 "--bi-ms", "50", "--seeds", "0", "--num-bi", "5",
+                 "--out", str(sim_csv)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(analytic_csv), str(sim_csv)]) == 1
+    err = capsys.readouterr().err
+    assert "n=10 q=1 w0=7 m=5 cbap_fraction=0.4 has config_hash" in err
+    assert "parameters differ" not in err
+
+
 # --- packaging ---
 
 def test_module_entry_point_smoke():
@@ -332,14 +385,19 @@ def test_analytic_and_simulate_paths_do_not_import_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def write_sim_csv(path, digest):
+    """A one-row simulated CSV at n=10, share 0.4, written without numpy."""
+    path.write_text(
+        "config_hash,seed,n,q,w0,m,cbap_fraction,u_sectors,u,mean_delay_s,"
+        "drop_prob,num_bi\n"
+        f"{digest},0,10,1,7,5,0.4,0.33,0.33,0.0015,0.02,2\n", encoding="utf-8")
+
+
 def test_analytic_and_compare_paths_do_not_import_numpy(tmp_path):
     # numpy serves only the simulator and the oracle; importing it costs
     # more than the rest of the package's start-up
     analytic, sim = tmp_path / "a.csv", tmp_path / "s.csv"
-    sim.write_text(
-        "config_hash,seed,n,q,w0,m,cbap_fraction,u_sectors,u,mean_delay_s,"
-        "drop_prob,num_bi\n"
-        "x,0,10,1,7,5,0.4,0.33,0.33,0.0015,0.02,2\n", encoding="utf-8")
+    write_sim_csv(sim, config_hash(make_params(n=10, cbap_slots=8000)))
     script = (
         "import sys\n"
         "import admac\n"
@@ -353,6 +411,76 @@ def test_analytic_and_compare_paths_do_not_import_numpy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def run_and_list_modules(script, modules):
+    """Run ``script`` in a fresh interpreter; the ``modules`` it left loaded."""
+    script += f"print([m for m in {list(modules)!r} if m in sys.modules])\n"
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_solve_and_compare_load_no_pool_simulator_or_oracle(tmp_path):
+    # a worker pool, the simulator and the oracle load only for the
+    # commands that run them
+    analytic, sim = tmp_path / "a.csv", tmp_path / "s.csv"
+    write_sim_csv(sim, config_hash(make_params(n=10, cbap_slots=8000)))
+    script = (
+        "import admac\n"
+        "from admac import cli\n"
+        f"assert cli.main(['solve', '--n', '10', '--cbap-fraction', '0.4',"
+        f" '--out', {str(analytic)!r}]) == 0\n"
+        f"assert cli.main(['compare', {str(analytic)!r}, {str(sim)!r}]) == 0\n"
+    )
+    loaded = run_and_list_modules(script, (
+        "multiprocessing", "concurrent.futures.process", "admac.simulator",
+        "admac.chain"))
+    assert loaded == "[]"
+
+
+def test_simulate_on_one_job_starts_no_pool():
+    script = (
+        "from admac import cli\n"
+        "assert cli.main(['simulate', '--n', '4', '--seeds', '0-1',"
+        " '--num-bi', '2', '--jobs', '1']) == 0\n"
+    )
+    loaded = run_and_list_modules(script, ("multiprocessing", "admac.simulator"))
+    assert loaded == "['admac.simulator']"
+
+
+def test_import_admac_loads_no_submodule():
+    loaded = run_and_list_modules("import admac\n", (
+        "admac.config", "admac.errors", "admac.markov", "admac.metrics",
+        "admac.chain", "admac.simulator", "admac.cli"))
+    assert loaded == "[]"
+
+
+def test_every_exported_name_resolves_on_first_use():
+    # in a fresh interpreter, so that no name is resolved beforehand
+    script = (
+        "import admac\n"
+        "assert set(admac.__all__) <= set(dir(admac))\n"
+        "namespace = {}\n"
+        "exec('from admac import *', namespace)\n"
+        "assert set(admac.__all__) <= set(namespace)\n"
+        "assert all(getattr(admac, name) is namespace[name]"
+        " for name in admac.__all__)\n"
+        "from admac.metrics import analyze\n"
+        "from admac.simulator import run_simulation\n"
+        "assert namespace['analyze'] is analyze\n"
+        "assert namespace['run_simulation'] is run_simulation\n"
+        "try:\n"
+        "    admac.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "module 'admac' has no attribute 'no_such_name'")
 
 
 def test_config_hash_is_stable_and_sensitive():

@@ -1,9 +1,11 @@
 """Utilization and delay metrics: formula examples and model invariants."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from admac import metrics
-from admac import (CoupledSolution, FixedPointSolution, InfeasibleModelError,
+from admac import (AdmacError, ConfigError, CoupledSolution,
+                   FixedPointSolution, InfeasibleModelError,
                    SectorModel, SlotProbabilities, aggregate_utilization,
                    analyze, derive_sector_models, derive_timings,
                    expected_delay, make_params, sector_utilization,
@@ -332,3 +334,31 @@ def test_analyze_floats_are_pinned(n, q, w0, share, u, delay, drop):
     if delay is not None:
         assert report.per_sector_delay == (delay,)
         assert report.per_sector_drop_prob == (drop,)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=strategies.integers(1, 300), q=strategies.integers(1, 8),
+       w0=strategies.integers(2, 128), m=strategies.integers(0, 7),
+       cbap_slots=strategies.integers(1, 20000),
+       window_rule=strategies.sampled_from(("doubling", "doubling-minus-one")),
+       split_rule=strategies.sampled_from(("equal", "proportional")))
+def test_analyze_is_a_valid_report_or_a_model_error(n, q, w0, m, cbap_slots,
+                                                    window_rule, split_rule):
+    try:
+        params = make_params(n=n, q=q, w0=w0, m=m, bi_slots=20000,
+                             cbap_slots=cbap_slots, window_rule=window_rule,
+                             cbap_split_rule=split_rule)
+    except ConfigError:
+        assume(False)  # no valid parameter set, e.g. fewer stations than sectors
+    try:
+        report = analyze(params)
+    except AdmacError:
+        return
+    # u reaches exactly 0.0 (with drop 1.0) at e.g. n=191, w0=2, m=1
+    assert all(0.0 <= u <= 1.0 for u in report.per_sector_u)
+    assert all(0.0 <= d <= 1.0 for d in report.per_sector_drop_prob)
+    for sol in report.diagnostics:
+        assert sol.residual <= 1e-10
+        st = sol.steps
+        assert abs(st.p_idle + st.p_suc + st.p_col - 1.0) <= 1e-12
+        assert abs(st.po_idle + st.po_suc + st.po_col - 1.0) <= 1e-12
