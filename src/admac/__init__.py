@@ -31,8 +31,8 @@ _EXPORTS = {
     "metrics": ("PerformanceReport", "SlotProbabilities",
                 "aggregate_utilization", "analyze", "expected_delay",
                 "sector_utilization", "sigma_avg", "slot_probabilities"),
-    "simulator": ("SectorSchedule", "SimStats", "Station", "empirical_report",
-                  "make_stations", "run_simulation", "schedule_from_params"),
+    "simulator": ("SectorSchedule", "SimStats", "empirical_report",
+                  "run_simulation", "schedule_from_params"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

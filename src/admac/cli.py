@@ -197,10 +197,11 @@ def _sweep_point(task):
 def _map(fn, tasks, jobs):
     """``fn`` of every task, in order, over at most one process per CPU.
 
-    A pool starts only for two or more workers, and only then is
-    ``concurrent.futures`` (with ``multiprocessing``) imported.
+    There are no more workers than tasks.  A pool starts only for two or
+    more workers, and only then is ``concurrent.futures`` (with
+    ``multiprocessing``) imported.
     """
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers < 2:
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor

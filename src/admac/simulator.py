@@ -11,58 +11,67 @@ next window.  Outside its sector window a station is frozen.
 
 Because idle decrements are lockstep, each sector keeps one idle clock that
 advances only on idle slots, and stores each counter as its firing time
-``fire = clock + counter`` in a heap of ``(fire, station)``.  An idle stretch
-is one clock jump to the heap top; the stations at zero are the entries
-whose ``fire`` equals the clock.  In the transmission-free tail of a window
-(``gap`` slots) the entries at or below ``clock + gap`` are re-keyed: zeros
-to ``clock + gap``, the rest to ``clock + gap + 1``.  numpy is imported
-inside the functions that use it, so the analytic path never loads it.
+``fire = clock + counter``: station ``s`` sits in bucket ``fire & mask`` of a
+ring of ``mask + 1`` lists, a calendar queue (Brown, CACM 1988).  The
+stations at zero are the bucket at the clock; an idle stretch is a forward
+scan to the next non-empty bucket, bounded by the last slot at which an
+exchange still fits.  Past that bound the window enters its tail of ``gap``
+slots: the buckets up to ``edge = clock + gap`` are emptied, zeros go to
+``edge`` and the rest to ``edge + 1``.  The ring holds at least
+``min(W_m, window + 2)`` buckets.  A draw at or beyond the ring size waits
+in an overflow list, which moves into the ring at each window start: one
+window advances the clock by at most its length, so no waiting station
+comes due inside it, and memory does not grow with ``W_m``.  Each station
+draws from its own Philox stream, so the order inside a bucket cannot
+change a result.  numpy is imported inside the functions that use it, so
+the analytic path never loads it.
 """
 
 import math
-from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from dataclasses import dataclass
+from itertools import chain
 
 from .config import derive_sector_models, window_sizes
 from .errors import ConfigError
 from .metrics import PerformanceReport, aggregate_utilization
 
-_BUFFER = 512
+# doubles per station: a first chunk, which a short run seldom outgrows,
+# then refills
+_FIRST_DRAWS = 64
+_REFILL_DRAWS = 512
 MAX_STATIONS = 1 << 20  # stream key (seed << 20) + station id stays unique
+MAX_SEED = 1 << 108  # and fits the 128-bit Philox key
 
 
-class _Stream:
-    """Buffered per-station uniform-draw stream on a Philox generator."""
+def _streams(seed, station_ids):
+    """The ``next`` of each station's stream of uniform doubles, in order.
 
-    def __init__(self, seed, station_id):
-        import numpy as np
+    Station ``sid`` reads the doubles of ``Generator(Philox(key=(seed << 20)
+    + sid))``.  One generator serves all stations: each chunk re-keys its
+    bit generator's state, with the block counter at the draws already
+    taken (a Philox block holds four doubles).
+    """
+    import numpy as np
 
-        self.gen = np.random.Generator(
-            np.random.Philox(key=(seed << 20) + station_id)
-        )
-        self.buf = self.gen.random(_BUFFER).tolist()
-        self.pos = 0
+    bitgen = np.random.Philox(0)  # every chunk sets the whole state
+    random = np.random.Generator(bitgen).random
 
-    def draw(self, width):
-        """Uniform integer in [0, width - 1]."""
-        if self.pos == _BUFFER:
-            self.buf = self.gen.random(_BUFFER).tolist()
-            self.pos = 0
-        u = self.buf[self.pos]
-        self.pos += 1
-        return int(u * width)
+    def chunks(key):
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0],
+                           "key": [key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64]},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        size, taken = _FIRST_DRAWS, 0
+        while True:
+            state["state"]["counter"][0] = taken >> 2
+            bitgen.state = state
+            yield random(size).tolist()
+            taken += size
+            size = _REFILL_DRAWS
 
-
-@dataclass
-class Station:
-    """Mutable backoff state of one saturated station."""
-
-    station_id: int
-    sector: int
-    stage: int
-    counter: int
-    enqueued_slot: int
-    rng: _Stream = field(repr=False)
+    return [chain.from_iterable(chunks((seed << 20) + sid)).__next__
+            for sid in station_ids]
 
 
 @dataclass(frozen=True)
@@ -92,27 +101,6 @@ def schedule_from_params(params):
     return SectorSchedule(windows=tuple(windows), bi_slots=params.bi_slots)
 
 
-def make_stations(params, seed):
-    """Stations with fresh stage-0 draws and independent RNG streams."""
-    if params.n > MAX_STATIONS:
-        raise ConfigError(
-            f"n must be <= {MAX_STATIONS} (2**20) so that per-station RNG "
-            f"streams stay distinct across seeds, got {params.n}"
-        )
-    w0 = window_sizes(params.w0, params.m, params.window_rule)[0]
-    stations = []
-    sid = 0
-    for sector, n_k in enumerate(params.sector_populations):
-        for _ in range(n_k):
-            rng = _Stream(seed, sid)
-            stations.append(Station(
-                station_id=sid, sector=sector, stage=0,
-                counter=rng.draw(w0), enqueued_slot=0, rng=rng,
-            ))
-            sid += 1
-    return stations
-
-
 @dataclass(frozen=True)
 class SimStats:
     """Per-sector counters and success-conditioned delays of one run."""
@@ -136,9 +124,19 @@ def run_simulation(params, timings, seed, num_bi=200):
 
     if num_bi < 1:
         raise ConfigError(f"num_bi must be >= 1, got {num_bi}")
+    if params.n > MAX_STATIONS:
+        raise ConfigError(
+            f"n must be <= {MAX_STATIONS} (2**20) so that per-station RNG "
+            f"streams stay distinct across seeds, got {params.n}"
+        )
+    if not 0 <= seed < MAX_SEED:
+        raise ConfigError(
+            f"seed must be in [0, 2**108) so that the stream key "
+            f"(seed << 20) + station id fits Philox's 128 bits, got {seed}"
+        )
     derive_sector_models(params, timings)  # validates window vs frame fit
     schedule = schedule_from_params(params)
-    stations = make_stations(params, seed)
+    streams = _streams(seed, range(params.n))
     widths = window_sizes(params.w0, params.m, params.window_rule)
     w0 = widths[0]
     m = params.m
@@ -148,79 +146,113 @@ def run_simulation(params, timings, seed, num_bi=200):
 
     successes, collisions, idles = [], [], []
     drops_all, attempts_all, delay_arrays = [], [], []
-    for sector, (start, length) in enumerate(schedule.windows):
-        members = [st for st in stations if st.sector == sector]
-        draws = [st.rng.draw for st in members]
-        stages = [0] * len(members)
-        enqueued = [0] * len(members)
-        heap = [(st.counter, k) for k, st in enumerate(members)]
-        heapify(heap)
-        clock = 0  # the sector's idle clock; counter = fire - clock
-        last_start = length - nf
-
-        n_suc = n_col = n_idle = n_drop = n_att = 0
+    first = 0
+    for (start, length), n_k in zip(schedule.windows,
+                                    params.sector_populations):
+        draws = streams[first:first + n_k]
+        first += n_k
+        # every counter below W_m fits, or else every fire one window can
+        # reach, up to the tail's edge + 1
+        size = 1 << (max(2, min(widths[-1], length + 2)) - 1).bit_length()
+        mask = size - 1
+        ring = [[] for _ in range(size)]
+        # (fire, station) at or beyond the ring; every station starts here
+        overflow = [(int(draw() * w0), s) for s, draw in enumerate(draws)]
+        stages = [0] * n_k
+        enqueued = [0] * n_k
+        # The sector's idle clock: it advances only on idle slots, so a
+        # counter is ``fire - clock`` and the idle slots add up to the clock.
+        clock = 0
+        n_col = n_collided = n_drop = 0
         delays = []
         for bi in range(num_bi):
-            base = bi * schedule.bi_slots + start
-            t = 0
-            while t < length:
-                fire = heap[0][0]
-                if fire == clock and t <= last_start:
-                    # the stations at zero transmit: one succeeds, more collide
-                    s = heappop(heap)[1]
-                    if not heap or heap[0][0] != clock:
-                        t += nf
-                        end = base + t
-                        n_suc += 1
-                        n_att += 1
-                        delays.append(end - enqueued[s])
-                        enqueued[s] = end
+            # the clock advances at most ``length`` in a window, so a
+            # station due at or beyond ``clock + size`` waits for the next
+            if overflow:
+                waiting, overflow = overflow, []
+                for fire, s in waiting:
+                    if fire - clock < size:
+                        ring[fire & mask].append(s)
+                    else:
+                        overflow.append((fire, s))
+            # ``limit``: the last clock reading at which an exchange still
+            # fits; ``close - limit + clock`` is the current global slot.
+            limit = clock + length - nf
+            close = bi * schedule.bi_slots + start + length - nf
+            while True:
+                here = clock & mask
+                bucket = ring[here]
+                if not bucket or clock > limit:
+                    # idle stretch: scan to the next counter to reach zero
+                    fire = clock + 1
+                    while fire <= limit and not ring[fire & mask]:
+                        fire += 1
+                    if fire <= limit:
+                        clock = fire
+                        here = fire & mask
+                        bucket = ring[here]
+                    else:
+                        # Transmission-free tail: counters sink to one and
+                        # park.  The buckets before ``fire`` are empty; those
+                        # from it up to the edge move to edge + 1, the zeros
+                        # to the edge.  No tail when an exchange ended the
+                        # window.
+                        gap = limit + nf - clock
+                        if gap > 0:
+                            edge = clock + gap
+                            parked = ring[here]
+                            ring[here] = []
+                            ones = []
+                            for k in range(fire, clock + min(gap, mask) + 1):
+                                bucket = ring[k & mask]
+                                if bucket:
+                                    ones += bucket
+                                    bucket.clear()
+                            ring[edge & mask] = parked
+                            ring[(edge + 1) & mask] += ones
+                            clock = edge
+                        break
+                # the stations at zero transmit: one succeeds, more collide
+                s = bucket.pop()
+                if not bucket:
+                    limit -= nf
+                    end = close - limit + clock
+                    delays.append(end - enqueued[s])
+                    enqueued[s] = end
+                    stages[s] = 0
+                    c = int(draws[s]() * w0)
+                    if c < size:
+                        ring[(clock + c) & mask].append(s)
+                    else:
+                        overflow.append((clock + c, s))
+                    continue
+                bucket.append(s)
+                ring[here] = []
+                limit -= nc
+                end = close - limit + clock
+                n_col += 1
+                n_collided += len(bucket)
+                for s in bucket:
+                    stage = stages[s]
+                    if stage == m:
+                        n_drop += 1
                         stages[s] = 0
-                        heappush(heap, (clock + draws[s](w0), s))
+                        enqueued[s] = end
+                        ring[here].append(s)
                         continue
-                    t += nc
-                    end = base + t
-                    n_col += 1
-                    colliders = [s]
-                    while heap and heap[0][0] == clock:
-                        colliders.append(heappop(heap)[1])
-                    n_att += len(colliders)
-                    for s in colliders:
-                        stage = stages[s]
-                        if stage == m:
-                            n_drop += 1
-                            stages[s] = 0
-                            enqueued[s] = end
-                            heappush(heap, (clock, s))
-                        else:
-                            stages[s] = stage + 1
-                            heappush(heap, (
-                                clock + draws[s](widths[stage + 1]), s))
-                    continue
-                if fire > clock and t + fire - clock <= last_start:
-                    # idle jump to the next counter to reach zero
-                    n_idle += fire - clock
-                    t += fire - clock
-                    clock = fire
-                    continue
-                # Transmission-free tail: counters sink to one and park.
-                gap = length - t
-                edge = clock + gap
-                parked = []
-                while heap and heap[0][0] <= edge:
-                    fire, s = heappop(heap)
-                    parked.append((edge if fire == clock else edge + 1, s))
-                for entry in parked:
-                    heappush(heap, entry)
-                clock = edge
-                n_idle += gap
-                t = length
+                    stages[s] = stage + 1
+                    c = int(draws[s]() * widths[stage + 1])
+                    if c < size:
+                        ring[(clock + c) & mask].append(s)
+                    else:
+                        overflow.append((clock + c, s))
 
+        n_suc = len(delays)
         successes.append(n_suc)
         collisions.append(n_col)
-        idles.append(n_idle)
+        idles.append(clock)
         drops_all.append(n_drop)
-        attempts_all.append(n_att)
+        attempts_all.append(n_suc + n_collided)
         delay_arrays.append(np.asarray(delays, dtype=np.float64) * sigma)
 
     return SimStats(

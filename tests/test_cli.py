@@ -256,6 +256,23 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, cpus, expected):
     assert RecordingExecutor.created == expected * 2
 
 
+def test_one_task_starts_no_pool(monkeypatch, tmp_path):
+    # a pool's workers cost more to start than one task takes to run
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(RecordingExecutor, "created", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    assert main(["simulate", "--n", "4", "--seeds", "0", "--num-bi", "2",
+                 "--jobs", "2", "--out", str(tmp_path / "sim.csv")]) == 0
+    assert main(["sweep", "--param", "n", "--values", "4", "--mode", "sim",
+                 "--seeds", "0", "--num-bi", "2", "--jobs", "2",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert RecordingExecutor.created == []
+    assert main(["simulate", "--n", "4", "--seeds", "0-1", "--num-bi", "2",
+                 "--jobs", "8", "--out", str(tmp_path / "two.csv")]) == 0
+    assert RecordingExecutor.created == [2]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--jobs", "0"],
     ["simulate", "--jobs", "-2"],

@@ -1,6 +1,7 @@
 """Simulator: reference-loop equivalence, exact oracles, and invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,21 +9,51 @@ from hypothesis import given, settings, strategies
 
 from admac import (ConfigError, InfeasibleModelError, SectorSchedule,
                    SimStats, analyze, derive_timings, empirical_report,
-                   make_params, make_stations, run_simulation,
-                   schedule_from_params, simulator, window_sizes)
+                   make_params, run_simulation, schedule_from_params,
+                   simulator, window_sizes)
 from conftest import bank_params, mean_sim_u, tau_hat
+
+
+def philox_stream(seed, station_id):
+    """The documented stream of one station: its own keyed Philox."""
+    return np.random.Generator(np.random.Philox(key=(seed << 20) + station_id))
+
+
+class RefStation:
+    """Backoff state of one station of the reference loop."""
+
+    def __init__(self, seed, station_id, sector, w0):
+        self.station_id = station_id
+        self.sector = sector
+        self.stage = 0
+        self.enqueued_slot = 0
+        self.rng = philox_stream(seed, station_id)
+        self.counter = self.draw(w0)
+
+    def draw(self, width):
+        """Uniform integer in [0, width - 1]."""
+        return int(self.rng.random() * width)
+
+
+def ref_stations(params, seed):
+    """Stations in id order, sector by sector, each at a stage-0 draw."""
+    w0 = window_sizes(params.w0, params.m, params.window_rule)[0]
+    sectors = [k for k, n_k in enumerate(params.sector_populations)
+               for _ in range(n_k)]
+    return [RefStation(seed, sid, sector, w0)
+            for sid, sector in enumerate(sectors)]
 
 
 def reference_sim(params, timings, seed, num_bi):
     """Naive one-slot-at-a-time loop with per-slot invariant checks.
 
     Independent rewrite of the event semantics used to pin the production
-    heap loop: same RNG streams, no jumps, and it asserts on every slot
-    that counters stay in range and that the decrements spent between two
-    transmissions add up to the drawn counter no matter how many window
-    suspensions intervene.
+    bucket-ring loop: one Philox generator per station built here, no
+    jumps, and it asserts on every slot that counters stay in range and that
+    the decrements spent between two transmissions add up to the drawn
+    counter no matter how many window suspensions intervene.
     """
-    stations = make_stations(params, seed)
+    stations = ref_stations(params, seed)
     widths = window_sizes(params.w0, params.m, params.window_rule)
     nf = timings.n_frame_slots
     nc = math.ceil(timings.t_col / params.slot_time)
@@ -63,7 +94,7 @@ def reference_sim(params, timings, seed, num_bi):
                         delays[k].append(end - st.enqueued_slot)
                         st.enqueued_slot = end
                         st.stage = 0
-                        st.counter = st.rng.draw(widths[0])
+                        st.counter = st.draw(widths[0])
                         drawn[st.station_id] = st.counter
                         decs[st.station_id] = 0
                     else:
@@ -80,7 +111,7 @@ def reference_sim(params, timings, seed, num_bi):
                                 st.enqueued_slot = end
                             else:
                                 st.stage += 1
-                                st.counter = st.rng.draw(widths[st.stage])
+                                st.counter = st.draw(widths[st.stage])
                             drawn[st.station_id] = st.counter
                             decs[st.station_id] = 0
                     continue
@@ -118,6 +149,36 @@ def test_jump_loop_matches_one_slot_reference(overrides):
     assert_matches_reference(params, timings, seed=3, num_bi=10)
 
 
+@pytest.mark.parametrize("overrides", [
+    # 150-slot windows on a ring of 256 buckets, widest window 8192:
+    # draws past the ring wait in the overflow list for later windows
+    dict(n=12, q=4, w0=16, m=9, bi_slots=700, cbap_slots=600),
+    # widest window 2**41: the ring stays sized by the 30-slot window
+    dict(n=3, q=1, w0=2, m=40, bi_slots=40, cbap_slots=30),
+    # a stage-0 window wider than the ring: most draws overflow
+    dict(n=6, q=1, w0=200, m=2, bi_slots=100, cbap_slots=72),
+])
+def test_overflow_past_the_ring_matches_reference(overrides):
+    params = make_params(**overrides)
+    assert window_sizes(params.w0, params.m)[-1] > params.cbap_split[0] + 2
+    assert_matches_reference(params, derive_timings(params), seed=3,
+                             num_bi=40)
+
+
+def test_large_m_run_allocates_no_memory_per_window_width():
+    # W_m = 2**41 slots; the ring is sized by the 400-slot window instead
+    params = make_params(n=3, w0=2, m=40, bi_slots=500, cbap_slots=400)
+    timings = derive_timings(params)
+    run_simulation(params, timings, seed=0, num_bi=1)  # warm imports
+    tracemalloc.start()
+    try:
+        run_simulation(params, timings, seed=0, num_bi=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def assert_matches_reference(params, timings, seed, num_bi):
     ref = reference_sim(params, timings, seed=seed, num_bi=num_bi)
     stats = run_simulation(params, timings, seed=seed, num_bi=num_bi)
@@ -146,7 +207,7 @@ def small_params(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(params=small_params(), seed=strategies.integers(0, 1000))
-def test_heap_loop_matches_reference_on_random_params(params, seed):
+def test_ring_loop_matches_reference_on_random_params(params, seed):
     assert_matches_reference(params, derive_timings(params), seed=seed,
                              num_bi=6)
 
@@ -396,26 +457,46 @@ def test_schedule_from_params_layout():
     assert schedule.bi_slots == 1000
 
 
-def test_station_state_written_back_in_bounds():
-    params = make_params(n=6, q=2, w0=4, m=2, bi_slots=600, cbap_slots=400)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_shared_generator_gives_each_station_its_own_stream(seed):
+    # the first chunk, then three refills, of one generator re-keyed
+    # between the two stations at every chunk
+    ids = (0, 2**20 - 1)
+    streams = simulator._streams(seed, ids)
+    draws = 64 + 3 * 512
+    got = [[], []]
+    for _ in range(draws):
+        for out, draw in zip(got, streams):
+            out.append(draw())
+    for sid, out in zip(ids, got):
+        want = philox_stream(seed, sid).random(draws)
+        assert np.array(out).tobytes() == want.tobytes()
+
+
+def test_refilled_streams_match_reference():
+    # a lone station draws once per success: past the first chunk and
+    # three refills of its stream
+    params = make_params(n=1, w0=7, m=2, bi_slots=500, cbap_slots=400)
     timings = derive_timings(params)
-    widths = window_sizes(params.w0, params.m)
-    stations = make_stations(params, seed=5)
-    for st in stations:
-        assert st.sector in (0, 1)
-        assert st.stage == 0
-        assert 0 <= st.counter < widths[0]
+    stats = run_simulation(params, timings, seed=7, num_bi=80)
+    assert stats.successes[0] + 1 > 64 + 3 * 512
+    assert_matches_reference(params, timings, seed=7, num_bi=80)
 
 
 def test_population_beyond_stream_key_space_rejected(monkeypatch):
     # (seed << 20) + station id would alias seed s, station 2**20 with
     # seed s + 1, station 0; the check must come before any stream is built
-    def no_stream(seed, station_id):
+    def no_stream(seed, station_ids):
         raise AssertionError("a stream was built")
 
-    monkeypatch.setattr(simulator, "_Stream", no_stream)
+    monkeypatch.setattr(simulator, "_streams", no_stream)
     params = make_params(n=2**20 + 1)
     with pytest.raises(ConfigError, match=r"2\*\*20"):
-        make_stations(params, seed=0)
-    with pytest.raises(ConfigError):
         run_simulation(params, derive_timings(params), seed=0, num_bi=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**108], ids=["negative", "2**108"])
+def test_seed_beyond_philox_key_rejected(seed):
+    params = make_params(n=2)
+    with pytest.raises(ConfigError, match=r"2\*\*108"):
+        run_simulation(params, derive_timings(params), seed=seed, num_bi=1)
