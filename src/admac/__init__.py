@@ -18,21 +18,19 @@ _EXPORTS = {
     "errors": ("AdmacError", "ConfigError", "InfeasibleModelError",
                "InternalConsistencyError", "OracleError", "OracleSizeError",
                "ValidationError"),
-    "config": ("DEFAULTS", "ModelParams", "SectorModel", "TimingDurations",
+    "config": ("ModelParams", "SectorModel", "TimingDurations",
                "derive_sector_models", "derive_timings", "frame_airtime",
                "make_params", "parse_config_file", "slot_quantized",
                "window_sizes"),
-    "markov": ("CoupledSolution", "FixedPointSolution", "SteadyStateVector",
-               "b000_closed_form", "collision_probability", "eta_terms",
-               "solve_fixed_point", "solve_idle_slot_coupling",
+    "markov": ("CoupledSolution", "FixedPointSolution", "SlotProbabilities",
+               "SteadyStateVector", "b000_closed_form", "collision_probability",
+               "eta_terms", "solve_fixed_point", "solve_idle_slot_coupling",
                "steady_state_vector", "tau_of"),
     "chain": ("DEFAULT_GRID", "ExplicitChain", "build_chain", "raw_sector",
               "stationary_distribution", "validation_report"),
-    "metrics": ("PerformanceReport", "SlotProbabilities",
-                "aggregate_utilization", "analyze", "expected_delay",
-                "sector_utilization", "sigma_avg", "slot_probabilities"),
-    "simulator": ("SectorSchedule", "SimStats", "empirical_report",
-                  "run_simulation", "schedule_from_params"),
+    "metrics": ("PerformanceReport", "aggregate_utilization", "analyze",
+                "expected_delay", "sector_utilization", "sigma_avg"),
+    "simulator": ("SimStats", "empirical_report", "run_simulation"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -43,8 +43,7 @@ class ExplicitChain:
 def raw_sector(p_h, p_h_prime, p_f, n_k=2):
     """SectorModel carrying bare probabilities for oracle grids."""
     return SectorModel(
-        n_k=n_k, p_h=p_h, p_h_prime=p_h_prime,
-        p_r=1.0 - p_f, p_f=p_f, cbap_k_slots=1,
+        n_k=n_k, p_h=p_h, p_h_prime=p_h_prime, p_f=p_f, cbap_k_slots=1,
     )
 
 

@@ -22,12 +22,12 @@ import csv
 import functools
 import hashlib
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
 
-from .config import (DEFAULTS, ModelParams, derive_timings, make_params,
-                     parse_config_file)
+from .config import ModelParams, derive_timings, make_params, parse_config_file
 from .errors import AdmacError, ConfigError, ValidationError
 from .metrics import analyze
 
@@ -124,12 +124,11 @@ def _collect_overrides(args):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    merged = dict(DEFAULTS)
-    merged.update(overrides)
     if getattr(args, "bi_ms", None) is not None:
-        overrides["bi_slots"] = round(args.bi_ms * 1e-3 / merged["slot_time"])
+        slot_time = overrides.get("slot_time", ModelParams.slot_time)
+        overrides["bi_slots"] = round(args.bi_ms * 1e-3 / slot_time)
     if getattr(args, "cbap_fraction", None) is not None:
-        bi_slots = overrides.get("bi_slots", merged["bi_slots"])
+        bi_slots = overrides.get("bi_slots", ModelParams.bi_slots)
         overrides["cbap_slots"] = round(args.cbap_fraction * bi_slots)
     return overrides
 
@@ -172,7 +171,7 @@ def _sim_row(params, digest, seed, num_bi):
 def _point_overrides(base_overrides, param, value):
     if param != "cbap_fraction":
         return {**base_overrides, param: value}
-    bi_slots = {**DEFAULTS, **base_overrides}["bi_slots"]
+    bi_slots = base_overrides.get("bi_slots", ModelParams.bi_slots)
     return {**base_overrides, "cbap_slots": round(value * bi_slots)}
 
 
@@ -280,8 +279,9 @@ def _parse_sweep_values(param, text):
             values.extend(range(lo, hi + 1, step))
         else:
             try:
-                values.append(float(part) if param == "cbap_fraction" else int(part))
-            except ValueError:
+                values.append(_finite(part) if param == "cbap_fraction"
+                              else int(part))
+            except (ValueError, argparse.ArgumentTypeError):
                 raise ConfigError(f"bad sweep value {part!r}")
     if not values:
         raise ConfigError(f"no sweep values in {text!r}")
@@ -425,15 +425,34 @@ def _cmd_compare(args):
     return 0
 
 
+def _finite(text):
+    """Value of a float flag or sweep value: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text):
+    """Value of ``--tol``: a finite number of 0 or more."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _add_config_flags(parser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--n", type=int, help="total stations")
     parser.add_argument("--q", type=int, help="number of sectors")
     parser.add_argument("--w0", type=int, help="base contention window")
     parser.add_argument("--m", type=int, help="maximum backoff stage")
-    parser.add_argument("--cbap-fraction", type=float, dest="cbap_fraction",
+    parser.add_argument("--cbap-fraction", type=_finite, dest="cbap_fraction",
                         help="contention share of the beacon interval")
-    parser.add_argument("--bi-ms", type=float, dest="bi_ms",
+    parser.add_argument("--bi-ms", type=_finite, dest="bi_ms",
                         help="beacon interval length in milliseconds")
     parser.add_argument("--window-rule", dest="window_rule",
                         choices=("doubling", "doubling-minus-one"),
@@ -478,7 +497,7 @@ def build_parser():
                          choices=("analytic", "sim", "both"))
 
     p_val = sub.add_parser("validate", help="closed form vs explicit chain")
-    p_val.add_argument("--tol", type=float, default=1e-6)
+    p_val.add_argument("--tol", type=_tolerance, default=1e-6)
     p_val.add_argument("--out", help="report path (default stdout)")
 
     p_cmp = sub.add_parser("compare", help="join analytic and sim CSVs")

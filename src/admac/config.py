@@ -15,38 +15,17 @@ from .errors import ConfigError, InfeasibleModelError
 
 MICRO = 1e-6
 
-# Default scenario: 60 GHz directional MAC with RTS/CTS protection,
-# 27.5 Mb/s control rate and 2 Gb/s data rate.
-DEFAULTS = {
-    "n": 10,
-    "q": 1,
-    "w0": 7,
-    "m": 5,
-    "bi_slots": 20000,
-    "cbap_slots": 8000,
-    "slot_time": 5 * MICRO,
-    "sifs": 2.5 * MICRO,
-    "difs": 13.5 * MICRO,
-    "rifs": 9 * MICRO,
-    "rts_bytes": 20,
-    "cts_bytes": 26,
-    "ack_bytes": 14,
-    "msdu_bytes": 7995,
-    "control_rate": 27.5e6,
-    "data_rate": 2e9,
-    "phy_overhead": 0.0,
-    "window_rule": "doubling",
-    "cbap_split_rule": "equal",
-    "strict_timing": True,
-}
-
 WINDOW_RULES = ("doubling", "doubling-minus-one")
 SPLIT_RULES = ("equal", "proportional")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated scenario description shared by model and simulator."""
+    """Validated scenario description shared by model and simulator.
+
+    The defaults are the paper's scenario: a 60 GHz directional MAC with
+    RTS/CTS protection, 27.5 Mb/s control rate and 2 Gb/s data rate.
+    """
 
     n: int = 10
     q: int = 1
@@ -72,6 +51,10 @@ class ModelParams:
     strict_timing: bool = True
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.q < 1:
@@ -132,6 +115,11 @@ class ModelParams:
             )
 
 
+# the type of every parameter: the config-file parser and the finiteness
+# check read it
+_FIELD_TYPES = {f.name: f.type for f in fields(ModelParams)}
+
+
 def _round_robin(n, q):
     """Deal n stations one at a time over q sectors."""
     base, extra = divmod(n, q)
@@ -153,14 +141,11 @@ def _split_cbap(cbap_slots, populations, rule):
 
 
 def make_params(**overrides):
-    """Build ModelParams from DEFAULTS plus keyword overrides."""
-    merged = dict(DEFAULTS)
-    merged.update(overrides)
-    known = {f.name for f in fields(ModelParams)}
-    unknown = sorted(set(merged) - known)
+    """Build ModelParams from its defaults plus keyword overrides."""
+    unknown = sorted(overrides.keys() - _FIELD_TYPES.keys())
     if unknown:
         raise ConfigError(f"unknown parameter(s): {', '.join(unknown)}")
-    return ModelParams(**merged)
+    return ModelParams(**overrides)
 
 
 def window_sizes(w0, m, rule="doubling"):
@@ -197,8 +182,8 @@ class TimingDurations:
     t_data: float
     t_suc: float
     t_col: float
-    e_payload: float
     n_frame_slots: int
+    n_col_slots: int
 
 
 def derive_timings(params):
@@ -207,7 +192,9 @@ def derive_timings(params):
     A successful exchange spends the RTS, two SIFS gaps, the CTS, a DIFS,
     the data frame, and the ACK; with ``strict_timing`` disabled an extra
     SIFS is inserted before the acknowledgment.  A collision costs the RTS
-    plus SIFS, DIFS, and the RIFS recovery gap.
+    plus SIFS, DIFS, and the RIFS recovery gap.  ``n_frame_slots`` and
+    ``n_col_slots`` are the two exchanges rounded up to whole slots, as the
+    simulator charges them.
     """
     t_rts = frame_airtime(params.rts_bytes, params.control_rate, params.phy_overhead)
     t_cts = frame_airtime(params.cts_bytes, params.control_rate, params.phy_overhead)
@@ -221,7 +208,6 @@ def derive_timings(params):
         raise ConfigError(
             f"timings must satisfy t_suc > t_col > 0, got {t_suc} and {t_col}"
         )
-    n_frame_slots = math.ceil(t_suc / params.slot_time)
     return TimingDurations(
         t_rts=t_rts,
         t_cts=t_cts,
@@ -229,8 +215,8 @@ def derive_timings(params):
         t_data=t_data,
         t_suc=t_suc,
         t_col=t_col,
-        e_payload=t_data,
-        n_frame_slots=n_frame_slots,
+        n_frame_slots=math.ceil(t_suc / params.slot_time),
+        n_col_slots=math.ceil(t_col / params.slot_time),
     )
 
 
@@ -238,12 +224,12 @@ def slot_quantized(timings, slot_time):
     """The same timings with each exchange rounded up to whole slots.
 
     The simulator charges a success ``n_frame_slots`` slots and a collision
-    ceil(t_col / slot_time) slots; the analytic layer charges the same.
+    ``n_col_slots`` slots; the analytic layer charges the same.
     """
     return replace(
         timings,
         t_suc=timings.n_frame_slots * slot_time,
-        t_col=math.ceil(timings.t_col / slot_time) * slot_time,
+        t_col=timings.n_col_slots * slot_time,
     )
 
 
@@ -254,7 +240,6 @@ class SectorModel:
     n_k: int
     p_h: float
     p_h_prime: float
-    p_r: float
     p_f: float
     cbap_k_slots: int
 
@@ -264,8 +249,9 @@ def derive_sector_models(params, timings):
 
     ``p_h`` is the chance a decrement slot is the last one that still fits a
     full exchange before the sector period ends; ``p_h_prime`` covers the
-    deferral zone of the final ``n_frame_slots`` slots; ``p_r`` is the chance
-    a suspended station's next slot falls inside its own period again.
+    deferral zone of the final ``n_frame_slots`` slots; ``p_f`` is the
+    out-of-period share of the beacon interval, the chance a suspended
+    station's next slot is still outside its own period.
     """
     nf = timings.n_frame_slots
     models = []
@@ -276,15 +262,12 @@ def derive_sector_models(params, timings):
                 f"{nf}-slot frame exchange"
             )
         p_h = 1.0 / cbap_k
-        p_h_prime = nf * p_h
-        p_r = cbap_k / params.bi_slots
         models.append(
             SectorModel(
                 n_k=nk,
                 p_h=p_h,
-                p_h_prime=p_h_prime,
-                p_r=p_r,
-                p_f=1.0 - p_r,
+                p_h_prime=nf * p_h,
+                p_f=1.0 - cbap_k / params.bi_slots,
                 cbap_k_slots=cbap_k,
             )
         )
@@ -294,31 +277,16 @@ def derive_sector_models(params, timings):
 _BOOL_STRINGS = {"true": True, "false": False, "yes": True, "no": False,
                  "1": True, "0": False}
 
-_INT_FIELDS = {"n", "q", "w0", "m", "bi_slots", "cbap_slots",
-               "rts_bytes", "cts_bytes", "ack_bytes", "msdu_bytes"}
-_FLOAT_FIELDS = {"slot_time", "sifs", "difs", "rifs",
-                 "control_rate", "data_rate", "phy_overhead"}
-_STR_FIELDS = {"window_rule", "cbap_split_rule"}
-_BOOL_FIELDS = {"strict_timing"}
-_TUPLE_FIELDS = {"sector_populations", "cbap_split"}
-
-
 def _parse_value(key, raw):
     raw = raw.strip()
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _TUPLE_FIELDS:
+        if kind is tuple:
             return tuple(int(part) for part in raw.split(",") if part.strip())
-        if key in _BOOL_FIELDS:
-            try:
-                return _BOOL_STRINGS[raw.lower()]
-            except KeyError:
-                raise ValueError(raw)
-        return raw
-    except ValueError:
+        if kind is bool:
+            return _BOOL_STRINGS[raw.lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}")
 
 
@@ -328,7 +296,6 @@ def parse_config_file(path):
     Blank lines and ``#`` comments are ignored; unknown keys are a hard
     error so that typos cannot silently fall back to defaults.
     """
-    known = {f.name for f in fields(ModelParams)}
     overrides = {}
     unknown = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -340,7 +307,7 @@ def parse_config_file(path):
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
             key, raw = text.split("=", 1)
             key = key.strip()
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 unknown.append(key)
                 continue
             overrides[key] = _parse_value(key, raw)

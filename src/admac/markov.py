@@ -221,7 +221,6 @@ class SlotProbabilities:
     are made by the other stations only.
     """
 
-    n_k: int
     p_idle: float
     p_suc: float
     p_col: float
@@ -397,7 +396,6 @@ def _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, residual):
     other_col = max(collisions - own_collided, 0.0)
     seen = idle + other_suc + other_col
     steps = SlotProbabilities(
-        n_k=n_k,
         p_idle=idle / total,
         p_suc=successes / total,
         p_col=collisions / total,

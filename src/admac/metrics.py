@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from .config import (derive_sector_models, derive_timings, slot_quantized,
                      window_sizes)
 from .errors import InfeasibleModelError
-from .markov import CoupledSolution, SlotProbabilities, solve_idle_slot_coupling
-
-__all__ = [
-    "SlotProbabilities", "PerformanceReport", "slot_probabilities",
-    "sector_utilization", "aggregate_utilization", "sigma_avg",
-    "expected_delay", "analyze",
-]
+from .markov import solve_idle_slot_coupling
 
 
 @dataclass(frozen=True)
@@ -33,27 +27,6 @@ class PerformanceReport:
     diagnostics: tuple
 
 
-def slot_probabilities(tau, n_k):
-    """Split a contention slot by outcome for n_k saturated stations."""
-    if not 0.0 < tau < 1.0:
-        raise InfeasibleModelError(f"tau must be in (0, 1), got {tau}")
-    if n_k < 1:
-        raise InfeasibleModelError(f"n_k must be >= 1, got {n_k}")
-    p_idle = (1.0 - tau) ** n_k
-    p_suc = n_k * tau * (1.0 - tau) ** (n_k - 1)
-    p_col = 1.0 - p_idle - p_suc
-    if n_k == 1:
-        po_idle, po_suc = 1.0, 0.0
-    else:
-        po_idle = (1.0 - tau) ** (n_k - 1)
-        po_suc = (n_k - 1) * tau * (1.0 - tau) ** (n_k - 2)
-    po_col = 1.0 - po_idle - po_suc
-    return SlotProbabilities(
-        n_k=n_k, p_idle=p_idle, p_suc=p_suc, p_col=p_col,
-        po_idle=po_idle, po_suc=po_suc, po_col=po_col,
-    )
-
-
 def sector_utilization(sp, timings, slot_time):
     """Fraction of sector time carrying successful payload."""
     busy = (
@@ -61,7 +34,7 @@ def sector_utilization(sp, timings, slot_time):
         + sp.p_suc * timings.t_suc
         + sp.p_col * timings.t_col
     )
-    return sp.p_suc * timings.e_payload / busy
+    return sp.p_suc * timings.t_data / busy
 
 
 def aggregate_utilization(per_sector):
@@ -93,29 +66,19 @@ def sigma_avg(sp, timings, sector, params):
     return (1.0 - hazard) * in_period + hazard * gap
 
 
-def _attempt_odds(sol):
-    """Collision odds of an attempt by how its counter reached zero.
-
-    Returns the odds after an idle slot, and for a zero drawn right after
-    the station's own success and right after its own collision.  The
-    chain-step solution gives every attempt the same odds.
-    """
-    if isinstance(sol, CoupledSolution):
-        return sol.p_after_idle, 0.0, sol.p_after_collision
-    return sol.p, sol.p, sol.p
-
-
-def expected_delay(sol, sp, timings, sector, params, w0, m,
-                   window_rule="doubling"):
+def expected_delay(sol, timings, sector, params):
     """Mean MAC delay of packets that are eventually delivered.
 
-    A packet delivered at stage i costs i collisions, one success, and the
-    backoff counted down at stages 0..i, each counter tick lasting
-    sigma_avg over the decrement probability.  A zero draw transmits at
-    once; any other draw of a width-W window counts down W/2 ticks on
-    average, and its attempt collides at the after-idle odds.  Every packet
-    starts with a stage-0 draw: the restart at counter 0 that follows a
-    drop is left out of the delay.
+    ``sol`` is the sector's ``CoupledSolution``.  A packet delivered at
+    stage i costs i collisions, one success, and the backoff counted down
+    at stages 0..i, each counter tick lasting sigma_avg of ``sol.steps``
+    over the decrement probability.  A zero draw transmits at once: at
+    stage 0 it follows the station's own success and never collides, and
+    at a later stage it follows its own collision and collides at
+    ``p_after_collision``.  Any other draw of a width-W window counts down
+    W/2 ticks on average, and its attempt collides at ``p_after_idle``.
+    Every packet starts with a stage-0 draw: the restart at counter 0 that
+    follows a drop is left out of the delay.
     """
     advance = 1.0 - sol.p_b - sector.p_h
     if advance <= 0.0:
@@ -123,16 +86,16 @@ def expected_delay(sol, sp, timings, sector, params, w0, m,
             f"saturation leaves no decrement probability: p_b={sol.p_b}, "
             f"p_h={sector.p_h}"
         )
-    widths = window_sizes(w0, m, window_rule)
-    tick = sigma_avg(sp, timings, sector, params) / advance
-    p_idle, p_zero_success, p_zero_collision = _attempt_odds(sol)
+    widths = window_sizes(params.w0, params.m, params.window_rule)
+    tick = sigma_avg(sol.steps, timings, sector, params) / advance
+    p_idle = sol.p_after_idle
     reach = 1.0      # chance the packet gets to the stage
     spent = 0.0      # backoff time spent before the stage, times reach
     delivered = 0.0
     delay = 0.0
     for i, w in enumerate(widths):
         counted = (w - 1.0) / w
-        zero_odds = p_zero_success if i == 0 else p_zero_collision
+        zero_odds = sol.p_after_collision if i else 0.0
         collide = counted * p_idle + zero_odds / w
         ticks = w / 2.0 * tick
         success = reach * (1.0 - collide)
@@ -162,10 +125,7 @@ def analyze(params):
                 window_rule=params.window_rule,
             )
         us.append(sector_utilization(sol.steps, charged, params.slot_time))
-        delays.append(expected_delay(
-            sol, sol.steps, charged, sector, params, params.w0, params.m,
-            params.window_rule,
-        ))
+        delays.append(expected_delay(sol, charged, sector, params))
         drops.append(sol.drop_prob)
         sols.append(sol)
     aggregate = aggregate_utilization(

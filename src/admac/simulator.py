@@ -27,9 +27,8 @@ change a result.  numpy is imported inside the functions that use it, so
 the analytic path never loads it.
 """
 
-import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 from .config import derive_sector_models, window_sizes
 from .errors import ConfigError
@@ -75,33 +74,6 @@ def _streams(seed, station_ids):
 
 
 @dataclass(frozen=True)
-class SectorSchedule:
-    """Per-BI service windows: (start slot, length) per sector, in order."""
-
-    windows: tuple
-    bi_slots: int
-
-    def __post_init__(self):
-        cursor = 0
-        for start, length in self.windows:
-            if start < cursor or length < 1:
-                raise ConfigError("sector windows must be disjoint and ordered")
-            cursor = start + length
-        if cursor > self.bi_slots:
-            raise ConfigError("sector windows exceed the beacon interval")
-
-
-def schedule_from_params(params):
-    """Consecutive sector windows at the start of each beacon interval."""
-    windows = []
-    start = 0
-    for length in params.cbap_split:
-        windows.append((start, length))
-        start += length
-    return SectorSchedule(windows=tuple(windows), bi_slots=params.bi_slots)
-
-
-@dataclass(frozen=True)
 class SimStats:
     """Per-sector counters and success-conditioned delays of one run."""
 
@@ -135,20 +107,21 @@ def run_simulation(params, timings, seed, num_bi=200):
             f"(seed << 20) + station id fits Philox's 128 bits, got {seed}"
         )
     derive_sector_models(params, timings)  # validates window vs frame fit
-    schedule = schedule_from_params(params)
     streams = _streams(seed, range(params.n))
     widths = window_sizes(params.w0, params.m, params.window_rule)
     w0 = widths[0]
     m = params.m
     nf = timings.n_frame_slots
-    nc = math.ceil(timings.t_col / params.slot_time)
+    nc = timings.n_col_slots
     sigma = params.slot_time
 
     successes, collisions, idles = [], [], []
     drops_all, attempts_all, delay_arrays = [], [], []
     first = 0
-    for (start, length), n_k in zip(schedule.windows,
-                                    params.sector_populations):
+    # the sector windows run back to back from the start of each interval
+    for start, length, n_k in zip(accumulate(params.cbap_split, initial=0),
+                                  params.cbap_split,
+                                  params.sector_populations):
         draws = streams[first:first + n_k]
         first += n_k
         # every counter below W_m fits, or else every fire one window can
@@ -178,7 +151,7 @@ def run_simulation(params, timings, seed, num_bi=200):
             # ``limit``: the last clock reading at which an exchange still
             # fits; ``close - limit + clock`` is the current global slot.
             limit = clock + length - nf
-            close = bi * schedule.bi_slots + start + length - nf
+            close = bi * params.bi_slots + start + length - nf
             while True:
                 here = clock & mask
                 bucket = ring[here]
@@ -268,7 +241,7 @@ def run_simulation(params, timings, seed, num_bi=200):
             (s * nf + c * nc) * sigma
             for s, c in zip(successes, collisions)
         ),
-        payload_time=tuple(s * timings.e_payload for s in successes),
+        payload_time=tuple(s * timings.t_data for s in successes),
         delays=tuple(delay_arrays),
     )
 

@@ -2,13 +2,27 @@
 
 import concurrent.futures
 import csv
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from admac import analyze, cli, make_params
 from admac.cli import SweepSpec, config_hash, main, parse_seeds
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args):
+    """Run a fresh interpreter with the package's ``src`` on its path."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def read_csv(path):
@@ -119,6 +133,39 @@ def test_infeasible_window_is_model_error(capsys):
     assert "model error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cbap-fraction", "nan"],
+    ["solve", "--cbap-fraction", "inf"],
+    ["solve", "--bi-ms", "nan"],
+    ["solve", "--bi-ms", "inf"],
+    ["sweep", "--param", "cbap_fraction", "--values", "nan", "--mode",
+     "analytic"],
+    ["sweep", "--param", "cbap_fraction", "--values", "0.4,inf", "--mode",
+     "analytic"],
+], ids=["fraction-nan", "fraction-inf", "bi-nan", "bi-inf", "sweep-nan",
+        "sweep-inf"])
+def test_non_finite_flags_are_config_errors(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("line", ["data_rate = inf", "slot_time = nan"])
+def test_non_finite_config_values_are_config_errors(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_solve_stdout_bytes_are_pinned(capsys):
+    # a refactor leaves these bytes as they are; a deliberate change of the
+    # model's numbers re-pins the digest
+    assert main(["solve", "--n", "10", "--cbap-fraction", "0.4"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "2ce18c3bf871d01deed8d30b9325ff7b88cfe699d355348d9bc60e4be3cc0853")
+
+
 # --- simulate ---
 
 def test_simulate_output_is_byte_identical(tmp_path):
@@ -142,6 +189,14 @@ def test_simulate_one_row_per_seed(tmp_path):
     assert all(0.0 < float(row["u"]) < 1.0 for row in rows)
     hashes = {row["config_hash"] for row in rows}
     assert len(hashes) == 1
+
+
+def test_multi_sector_simulate_stdout_bytes_are_pinned(capsys):
+    assert main(["simulate", "--n", "12", "--q", "3", "--seeds", "0-1",
+                 "--num-bi", "5"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "cc146d723dce9b355169516f4fde8c8a02c03e2bb440276b210861416eee307c")
 
 
 # --- seeds parsing ---
@@ -304,6 +359,13 @@ def test_validate_fails_at_impossible_tolerance(capsys):
     assert "validation failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_validate_tolerance_must_be_finite_and_non_negative(tol, capsys):
+    # a NaN or infinite tolerance would pass any error
+    assert main(["validate", "--tol", tol]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 # --- compare ---
 
 def make_pair(tmp_path, n="5"):
@@ -376,10 +438,7 @@ def test_compare_names_no_parameters_for_sweep_rows(tmp_path, capsys):
 # --- packaging ---
 
 def test_module_entry_point_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "admac.cli", "solve", "--n", "4"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-m", "admac.cli", "solve", "--n", "4")
     assert proc.returncode == 0
     assert "config_hash" in proc.stdout
 
@@ -396,8 +455,7 @@ def test_analytic_and_simulate_paths_do_not_import_scipy():
         " '--num-bi', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -424,8 +482,7 @@ def test_analytic_and_compare_paths_do_not_import_numpy(tmp_path):
         f"assert cli.main(['compare', {str(analytic)!r}, {str(sim)!r}]) == 0\n"
         "print('numpy' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 
@@ -433,8 +490,7 @@ def test_analytic_and_compare_paths_do_not_import_numpy(tmp_path):
 def run_and_list_modules(script, modules):
     """Run ``script`` in a fresh interpreter; the ``modules`` it left loaded."""
     script += f"print([m for m in {list(modules)!r} if m in sys.modules])\n"
-    proc = subprocess.run([sys.executable, "-c", "import sys\n" + script],
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", "import sys\n" + script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -493,11 +549,15 @@ def test_every_exported_name_resolves_on_first_use():
         "except AttributeError as exc:\n"
         "    print(exc)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == (
         "module 'admac' has no attribute 'no_such_name'")
+
+
+def test_config_hash_is_pinned():
+    # compare joins on this digest: it must not move under a refactor
+    assert config_hash(make_params(n=10, cbap_slots=8000)) == "1571e5b04353"
 
 
 def test_config_hash_is_stable_and_sensitive():

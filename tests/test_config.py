@@ -47,9 +47,10 @@ def test_derive_timings_default_scenario():
     expected_suc = t_rts + 2 * 2.5 * MICRO + t_cts + 13.5 * MICRO + t_data + t_ack
     assert t.t_suc == pytest.approx(expected_suc, rel=1e-12)
     assert t.t_col == pytest.approx(t_rts + 25 * MICRO, rel=1e-12)
-    assert t.e_payload == pytest.approx(t_data, rel=1e-12)
-    # 67.93 us / 5 us rounds up to 14 whole slots
+    assert t.t_data == pytest.approx(t_data, rel=1e-12)
+    # 67.93 us and 30.82 us / 5 us round up to 14 and 7 whole slots
     assert t.n_frame_slots == 14
+    assert t.n_col_slots == 7
 
 
 def test_derive_timings_loose_mode_adds_one_sifs():
@@ -72,8 +73,8 @@ def test_slot_quantized_rounds_exchanges_up_to_whole_slots():
     # 67.93 us and 30.82 us cost 14 and 7 slots of 5 us
     assert q.t_suc == pytest.approx(70 * MICRO, rel=1e-15)
     assert q.t_col == pytest.approx(35 * MICRO, rel=1e-15)
-    assert (q.e_payload, q.n_frame_slots, q.t_rts) == \
-        (t.e_payload, t.n_frame_slots, t.t_rts)
+    assert (q.t_data, q.n_frame_slots, q.n_col_slots, q.t_rts) == \
+        (t.t_data, t.n_frame_slots, t.n_col_slots, t.t_rts)
 
 
 def test_derive_timings_rejects_collision_longer_than_success():
@@ -88,7 +89,6 @@ def test_sector_model_default_scenario():
     assert sector.n_k == 10
     assert sector.p_h == pytest.approx(1 / 8000, rel=1e-15)
     assert sector.p_h_prime == pytest.approx(14 / 8000, rel=1e-15)
-    assert sector.p_r == pytest.approx(0.4, rel=1e-15)
     assert sector.p_f == pytest.approx(0.6, rel=1e-15)
     assert sector.cbap_k_slots == 8000
 
@@ -104,7 +104,7 @@ def test_sector_model_twenty_slot_frame():
     params = make_params()
     t20 = TimingDurations(t_rts=0, t_cts=0, t_ack=0, t_data=0,
                           t_suc=100 * MICRO, t_col=50 * MICRO,
-                          e_payload=0, n_frame_slots=20)
+                          n_frame_slots=20, n_col_slots=10)
     sector, = derive_sector_models(params, t20)
     assert sector.p_h == pytest.approx(1.25e-4, rel=1e-15)
     assert sector.p_h_prime == pytest.approx(2.5e-3, rel=1e-15)
@@ -121,7 +121,6 @@ def test_sector_model_halving_window_doubles_p_h_exactly():
 def test_sector_model_full_beacon_interval_never_suspends():
     params = make_params(cbap_slots=20000)
     sector, = derive_sector_models(params, derive_timings(params))
-    assert sector.p_r == 1.0
     assert sector.p_f == 0.0
 
 
@@ -181,6 +180,17 @@ def test_window_sizes_rules():
 def test_make_params_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         make_params(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["slot_time", "sifs", "difs", "rifs",
+                                  "control_rate", "data_rate",
+                                  "phy_overhead"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_make_params_rejects_non_finite_floats(name, value):
+    # NaN passes every ``<= 0`` check, and an infinite rate makes u = 0
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        make_params(**{name: value})
 
 
 def test_parse_config_file_roundtrip(tmp_path):

@@ -3,75 +3,34 @@
 import pytest
 from hypothesis import assume, given, settings, strategies
 
+from itertools import product
+
 from admac import metrics
 from admac import (AdmacError, ConfigError, CoupledSolution,
-                   FixedPointSolution, InfeasibleModelError,
-                   SectorModel, SlotProbabilities, aggregate_utilization,
-                   analyze, derive_sector_models, derive_timings,
-                   expected_delay, make_params, sector_utilization,
-                   sigma_avg, slot_probabilities, slot_quantized,
-                   solve_fixed_point, window_sizes)
+                   InfeasibleModelError, SectorModel, SlotProbabilities,
+                   aggregate_utilization, analyze, derive_sector_models,
+                   derive_timings, expected_delay, make_params,
+                   sector_utilization, sigma_avg, slot_quantized,
+                   window_sizes)
 from conftest import bank_params, mean_sim_u
 
 
-def make_sp(p_idle, p_suc, p_col, po_idle=1.0, po_suc=0.0, po_col=0.0,
-            n_k=2):
-    return SlotProbabilities(n_k=n_k, p_idle=p_idle, p_suc=p_suc,
-                             p_col=p_col, po_idle=po_idle, po_suc=po_suc,
-                             po_col=po_col)
+def make_sp(p_idle, p_suc, p_col, po_idle=1.0, po_suc=0.0, po_col=0.0):
+    return SlotProbabilities(p_idle=p_idle, p_suc=p_suc, p_col=p_col,
+                             po_idle=po_idle, po_suc=po_suc, po_col=po_col)
 
 
 def make_sector(p_h, p_f=0.0, cbap_k_slots=8000, n_k=10):
-    return SectorModel(n_k=n_k, p_h=p_h, p_h_prime=p_h, p_r=1.0 - p_f,
-                       p_f=p_f, cbap_k_slots=cbap_k_slots)
+    return SectorModel(n_k=n_k, p_h=p_h, p_h_prime=p_h, p_f=p_f,
+                       cbap_k_slots=cbap_k_slots)
 
 
-def make_solution(p, p_b):
-    return FixedPointSolution(tau=0.1, p=p, b000=0.05, p_b=p_b, eta=1.0,
-                              eta_prime=1.0, iterations=1, residual=0.0)
-
-
-def analytic_pair(params=None, **overrides):
-    params = params or make_params(**overrides)
-    timings = derive_timings(params)
-    sector = derive_sector_models(params, timings)[0]
-    sol = solve_fixed_point(sector, params.w0, params.m)
-    return (params, timings, sector, sol,
-            slot_probabilities(sol.tau, sector.n_k))
-
-
-# --- slot_probabilities ---
-
-def test_single_station_never_collides():
-    sp = slot_probabilities(0.5, 1)
-    assert (sp.p_idle, sp.p_suc, sp.p_col) == (0.5, 0.5, 0.0)
-    assert (sp.po_idle, sp.po_suc, sp.po_col) == (1.0, 0.0, 0.0)
-
-
-def test_two_station_enumeration():
-    # four equally likely outcomes: ii, ti, it, tt
-    sp = slot_probabilities(0.5, 2)
-    assert sp.p_idle == pytest.approx(0.25, abs=1e-15)
-    assert sp.p_suc == pytest.approx(0.5, abs=1e-15)
-    assert sp.p_col == pytest.approx(0.25, abs=1e-15)
-    assert sp.po_idle == pytest.approx(0.5, abs=1e-15)
-    assert sp.po_suc == pytest.approx(0.5, abs=1e-15)
-    assert sp.po_col == pytest.approx(0.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("tau", [0.01, 0.3, 0.99])
-@pytest.mark.parametrize("n_k", [1, 2, 7, 40])
-def test_triples_sum_to_one(tau, n_k):
-    sp = slot_probabilities(tau, n_k)
-    assert sp.p_idle + sp.p_suc + sp.p_col == pytest.approx(1.0, abs=1e-15)
-    assert sp.po_idle + sp.po_suc + sp.po_col == pytest.approx(1.0, abs=1e-15)
-    assert min(sp.p_idle, sp.p_suc, sp.p_col) >= -1e-15
-
-
-@pytest.mark.parametrize("tau, n_k", [(0.0, 5), (1.0, 5), (0.5, 0)])
-def test_slot_probability_domain(tau, n_k):
-    with pytest.raises(InfeasibleModelError):
-        slot_probabilities(tau, n_k)
+def make_solution(p_b, p_after_idle, p_after_collision, steps):
+    return CoupledSolution(tau=0.1, p=0.3, p_b=p_b, alpha=0.05,
+                           p_after_idle=p_after_idle,
+                           p_after_collision=p_after_collision,
+                           drop_prob=0.1, steps=steps, iterations=1,
+                           residual=0.0)
 
 
 # --- sector_utilization ---
@@ -86,7 +45,7 @@ def test_utilization_back_to_back_successes():
     timings = derive_timings(make_params())
     sp = make_sp(p_idle=0.0, p_suc=1.0, p_col=0.0)
     got = sector_utilization(sp, timings, 5e-6)
-    assert got == pytest.approx(timings.e_payload / timings.t_suc, rel=1e-15)
+    assert got == pytest.approx(timings.t_data / timings.t_suc, rel=1e-15)
 
 
 def test_utilization_matches_simulator_within_five_percent(sim_bank):
@@ -173,8 +132,9 @@ def test_sigma_avg_grows_when_service_share_shrinks():
     timings = derive_timings(params_04)
     sector_04 = derive_sector_models(params_04, timings)[0]
     sector_10 = derive_sector_models(params_10, timings)[0]
-    sol = solve_fixed_point(sector_04, params_04.w0, params_04.m)
-    sp = slot_probabilities(sol.tau, 50)
+    # the split of the n=50 coupling at w0=7, m=5, rounded
+    sp = make_sp(0.476, 0.249, 0.275, po_idle=0.485, po_suc=0.249,
+                 po_col=0.266)
     assert sigma_avg(sp, timings, sector_04, params_04) > \
         sigma_avg(sp, timings, sector_10, params_10)
 
@@ -186,21 +146,23 @@ def test_delay_collisionless_single_stage():
     timings = derive_timings(params)
     sp = make_sp(1.0, 0.0, 0.0)
     sector = make_sector(p_h=0.0)
-    sol = make_solution(p=0.0, p_b=0.0)
-    got = expected_delay(sol, sp, timings, sector, params, 16, 3)
+    sol = make_solution(p_b=0.0, p_after_idle=0.0, p_after_collision=0.0,
+                        steps=sp)
+    got = expected_delay(sol, timings, sector, params)
     sa = sigma_avg(sp, timings, sector, params)
     assert got == pytest.approx(timings.t_suc + 7.5 * sa, rel=1e-13)
 
 
 def test_delay_single_retry_stage_ignores_collision_probability():
+    # m = 0: no attempt follows the station's own collision, so the delay
+    # never reads p_after_collision
     params = make_params(w0=8, m=0)
     timings = derive_timings(params)
     sp = make_sp(0.5, 0.3, 0.2, po_idle=0.6, po_suc=0.3, po_col=0.1)
     sector = make_sector(p_h=0.01, p_f=0.6)
-    lo = expected_delay(make_solution(0.1, 0.3), sp, timings, sector,
-                        params, 8, 0)
-    hi = expected_delay(make_solution(0.9, 0.3), sp, timings, sector,
-                        params, 8, 0)
+    lo, hi = (expected_delay(make_solution(0.3, 0.5, odds, sp), timings,
+                             sector, params)
+              for odds in (0.1, 0.9))
     assert lo == pytest.approx(hi, rel=1e-15)
 
 
@@ -209,8 +171,8 @@ def test_delay_requires_positive_decrement_probability():
     timings = derive_timings(params)
     sp = make_sp(0.5, 0.3, 0.2)
     with pytest.raises(InfeasibleModelError):
-        expected_delay(make_solution(0.5, 0.95), sp, timings,
-                       make_sector(p_h=0.06), params, 7, 5)
+        expected_delay(make_solution(0.95, 0.5, 0.5, sp), timings,
+                       make_sector(p_h=0.06), params)
 
 
 def test_coupled_delay_single_stage_hand_formula():
@@ -229,33 +191,48 @@ def test_coupled_delay_single_stage_hand_formula():
     counted = 7.0 / 8.0
     delivered = 1.0 - counted * 0.5
     expected = (counted * 0.5 * 4.0 * tick) / delivered + timings.t_suc
-    got = expected_delay(sol, sp, timings, sector, params, 8, 0)
+    got = expected_delay(sol, timings, sector, params)
     assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_delay_matches_independent_formula():
-    # direct evaluation of the stage-conditional sum, no shared loop
-    params, timings, sector, sol, sp = analytic_pair(n=30, cbap_slots=8000)
-    got = expected_delay(sol, sp, timings, sector, params, params.w0,
-                         params.m)
-    sa = sigma_avg(sp, timings, sector, params)
+    # analyze's own delay against an enumeration of every path of zero and
+    # non-zero draws through the stages, no shared loop
+    params = make_params(n=30, cbap_slots=8000, m=5)
+    timings = slot_quantized(derive_timings(params), params.slot_time)
+    sector = derive_sector_models(params, timings)[0]
+    report = analyze(params)
+    sol = report.diagnostics[0]
+    got = report.per_sector_delay[0]
+    assert got == expected_delay(sol, timings, sector, params)
+    sa = sigma_avg(sol.steps, timings, sector, params)
     tick = sa / (1.0 - sol.p_b - sector.p_h)
     widths = window_sizes(params.w0, params.m)
-    p, m = sol.p, params.m
-    expected = sum(
-        (p ** i * (1.0 - p) / (1.0 - p ** (m + 1)))
-        * (i * timings.t_col + timings.t_suc
-           + sum((widths[z] - 1.0) / 2.0 * tick for z in range(i + 1)))
-        for i in range(m + 1)
-    )
-    assert got == pytest.approx(expected, rel=1e-12)
+
+    def branches(i, w):
+        """(chance, backoff time, collision odds) of each draw at stage i."""
+        zero_odds = 0.0 if i == 0 else sol.p_after_collision
+        return ((1.0 / w, 0.0, zero_odds),
+                ((w - 1.0) / w, w / 2.0 * tick, sol.p_after_idle))
+
+    mass = time = 0.0
+    for i in range(params.m + 1):  # delivered at stage i
+        stages = [branches(z, widths[z]) for z in range(i + 1)]
+        for path in product(*stages):
+            chance = 1.0
+            for z, (draw, _, odds) in enumerate(path):
+                chance *= draw * (odds if z < i else 1.0 - odds)
+            backoff = sum(spent for _, spent, _ in path)
+            mass += chance
+            time += chance * (i * timings.t_col + timings.t_suc + backoff)
+    assert got == pytest.approx(time / mass, rel=1e-12)
 
 
 def test_delay_exceeds_success_time():
     for n in (5, 25, 50):
-        params, timings, _, _, _ = analytic_pair(n=n, cbap_slots=8000)
+        params = make_params(n=n, cbap_slots=8000)
         report = analyze(params)
-        assert report.per_sector_delay[0] > timings.t_suc
+        assert report.per_sector_delay[0] > derive_timings(params).t_suc
 
 
 # --- model invariants ---

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from admac import (ConfigError, InfeasibleModelError, SectorSchedule,
-                   SimStats, analyze, derive_timings, empirical_report,
-                   make_params, run_simulation, schedule_from_params,
-                   simulator, window_sizes)
+from admac import (ConfigError, InfeasibleModelError, SimStats, analyze,
+                   derive_timings, empirical_report, make_params,
+                   run_simulation, simulator, window_sizes)
 from conftest import bank_params, mean_sim_u, tau_hat
 
 
@@ -268,7 +267,7 @@ def test_two_station_run_matches_exact_joint_chain():
     nc = math.ceil(timings.t_col / params.slot_time)
     sigma = params.slot_time
     pi_idle, pi_suc, pi_col = joint_chain_prediction(4, 1)
-    u_pred = pi_suc * timings.e_payload / (
+    u_pred = pi_suc * timings.t_data / (
         sigma * (pi_idle + pi_suc * nf + pi_col * nc))
     tau_pred = (pi_suc + 2.0 * pi_col) / 2.0
     p_pred = 2.0 * pi_col / (pi_suc + 2.0 * pi_col)
@@ -298,7 +297,7 @@ def test_lone_station_renewal_cycle():
     assert stats.collisions == (0,)
     assert stats.dropped == (0,)
     cycle = (timings.n_frame_slots + 3.0) * params.slot_time
-    expected = timings.e_payload / cycle
+    expected = timings.t_data / cycle
     u = empirical_report(stats, params).aggregate_u
     assert u == pytest.approx(expected, rel=0.02)
 
@@ -371,7 +370,7 @@ def test_coupling_tracks_exact_two_station_chain(w0, m):
     nf = timings.n_frame_slots
     nc = math.ceil(timings.t_col / params.slot_time)
     pi_idle, pi_suc, pi_col = joint_chain_prediction(w0, m)
-    u_exact = pi_suc * timings.e_payload / (
+    u_exact = pi_suc * timings.t_data / (
         params.slot_time * (pi_idle + pi_suc * nf + pi_col * nc))
     tau_exact = (pi_suc + 2.0 * pi_col) / 2.0
     report = analyze(params)
@@ -437,24 +436,6 @@ def test_zero_beacon_intervals_rejected():
     timings = derive_timings(params)
     with pytest.raises(ConfigError):
         run_simulation(params, timings, seed=0, num_bi=0)
-
-
-@pytest.mark.parametrize("windows, bi_slots", [
-    (((0, 100), (50, 100)), 400),   # overlap
-    (((100, 50), (50, 50)), 400),   # out of order
-    (((0, 0),), 400),               # empty window
-    (((0, 300), (300, 200)), 400),  # spills past the interval
-])
-def test_schedule_rejects_malformed_windows(windows, bi_slots):
-    with pytest.raises(ConfigError):
-        SectorSchedule(windows=windows, bi_slots=bi_slots)
-
-
-def test_schedule_from_params_layout():
-    params = make_params(n=6, q=3, bi_slots=1000, cbap_slots=900)
-    schedule = schedule_from_params(params)
-    assert schedule.windows == ((0, 300), (300, 300), (600, 300))
-    assert schedule.bi_slots == 1000
 
 
 @pytest.mark.parametrize("seed", [0, 7])
