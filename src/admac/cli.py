@@ -25,9 +25,10 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
-from .config import ModelParams, derive_timings, make_params, parse_config_file
+from .config import (ModelParams, derive_timings, make_params, open_text,
+                     parse_config_file)
 from .errors import AdmacError, ConfigError, ValidationError
 from .metrics import analyze
 
@@ -36,29 +37,6 @@ BASE_COLUMNS = (
     "u_sectors", "u", "mean_delay_s", "drop_prob", "num_bi",
 )
 SWEEP_COLUMNS = BASE_COLUMNS + ("mode", "error")
-SWEEP_PARAMS = ("n", "w0", "q", "cbap_fraction")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter over a fixed base configuration."""
-
-    param: str
-    values: tuple
-    base_overrides: dict
-    modes: tuple
-    seeds: tuple
-    num_bi: int
-    jobs: int
-
-    def __post_init__(self):
-        if self.param not in SWEEP_PARAMS:
-            raise ConfigError(f"cannot sweep {self.param!r}; "
-                              f"choose one of {', '.join(SWEEP_PARAMS)}")
-        if not self.values:
-            raise ConfigError("sweep value list is empty")
-        if not self.modes:
-            raise ConfigError("sweep mode list is empty")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,48 +66,66 @@ def config_hash(params):
     return _provenance(params)[1]
 
 
-def parse_seeds(text):
-    """Parse '0-9', '0,3,7', or combinations into a sorted seed tuple."""
-    seeds = set()
+def _parse_list(text, kind, what):
+    """``kind`` of each ``what`` in a comma list; int lists take lo-hi[:step]."""
+    values = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
+        if kind is int and "-" in part:
             try:
-                lo, hi = map(int, part.split("-"))
+                span, step = part.split(":") if ":" in part else (part, "1")
+                lo, hi = span.split("-")
+                lo, hi, step = int(lo), int(hi), int(step)
             except ValueError:
-                raise ConfigError(f"bad seed range {part!r}")
-            if hi < lo:
-                raise ConfigError(f"bad seed range {part!r}")
-            seeds.update(range(lo, hi + 1))
+                raise ConfigError(f"bad {what} range {part!r}")
+            if hi < lo or step < 1:
+                raise ConfigError(f"bad {what} range {part!r}")
+            values.extend(range(lo, hi + 1, step))
         else:
             try:
-                seeds.add(int(part))
-            except ValueError:
-                raise ConfigError(f"bad seed {part!r}")
-    if not seeds:
-        raise ConfigError(f"no seeds in {text!r}")
-    if min(seeds) < 0:
+                values.append(kind(part))
+            except (ValueError, argparse.ArgumentTypeError):
+                raise ConfigError(f"bad {what} {part!r}")
+    if not values:
+        raise ConfigError(f"no {what}s in {text!r}")
+    return values
+
+
+def parse_seeds(text):
+    """Parse '0-9', '0-8:2', '0,3,7', or combinations into a sorted seed tuple."""
+    seeds = sorted(set(_parse_list(text, int, "seed")))
+    if seeds[0] < 0:
         raise ConfigError("seeds must be non-negative")
-    return tuple(sorted(seeds))
+    return tuple(seeds)
+
+
+def _with_flag(overrides, name, value):
+    """``overrides`` with one flag set; ``bi_ms`` and ``cbap_fraction`` set
+    ``bi_slots`` and ``cbap_slots`` at the effective slot time and interval."""
+    if name == "bi_ms":
+        slots = value * 1e-3 / overrides.get("slot_time", ModelParams.slot_time)
+        target = "bi_slots"
+    elif name == "cbap_fraction":
+        slots = value * overrides.get("bi_slots", ModelParams.bi_slots)
+        target = "cbap_slots"
+    else:
+        return {**overrides, name: value}
+    if not math.isfinite(slots):
+        raise ConfigError(f"{name} {value!r} gives {target} = {slots}, "
+                          f"not a finite number of slots")
+    return {**overrides, target: round(slots)}
 
 
 def _collect_overrides(args):
     """Apply precedence: defaults < config file < CLI flags."""
-    overrides = {}
-    if args.config:
-        overrides.update(parse_config_file(args.config))
-    for name in ("n", "q", "w0", "m", "window_rule"):
-        value = getattr(args, name, None)
+    overrides = parse_config_file(args.config) if args.config else {}
+    # bi_ms comes first, so that cbap_fraction is a share of the interval it sets
+    for name in ("n", "q", "w0", "m", "window_rule", "bi_ms", "cbap_fraction"):
+        value = getattr(args, name)
         if value is not None:
-            overrides[name] = value
-    if getattr(args, "bi_ms", None) is not None:
-        slot_time = overrides.get("slot_time", ModelParams.slot_time)
-        overrides["bi_slots"] = round(args.bi_ms * 1e-3 / slot_time)
-    if getattr(args, "cbap_fraction", None) is not None:
-        bi_slots = overrides.get("bi_slots", ModelParams.bi_slots)
-        overrides["cbap_slots"] = round(args.cbap_fraction * bi_slots)
+            overrides = _with_flag(overrides, name, value)
     return overrides
 
 
@@ -168,19 +164,12 @@ def _sim_row(params, digest, seed, num_bi):
                 drop_prob=drop, num_bi=num_bi)
 
 
-def _point_overrides(base_overrides, param, value):
-    if param != "cbap_fraction":
-        return {**base_overrides, param: value}
-    bi_slots = base_overrides.get("bi_slots", ModelParams.bi_slots)
-    return {**base_overrides, "cbap_slots": round(value * bi_slots)}
-
-
-def _sweep_point(task):
-    """Worker for one sweep row; returns (sort_key, row)."""
-    base_overrides, param, index, value, mode, seed, num_bi = task
+def _sweep_point(base_overrides, param, num_bi, point):
+    """Sweep row of one (value, mode, seed) point; a failure fills ``error``."""
+    value, mode, seed = point
     row = {**dict.fromkeys(SWEEP_COLUMNS), "mode": mode}
     try:
-        params = make_params(**_point_overrides(base_overrides, param, value))
+        params = make_params(**_with_flag(base_overrides, param, value))
         if mode == "analytic":
             row.update(_analytic_row(params, config_hash(params)))
         else:
@@ -189,8 +178,7 @@ def _sweep_point(task):
         row["error"] = str(exc)
         row[param] = value
         row["seed"] = seed
-    sort_seed = -1 if seed is None else seed
-    return (index, mode, sort_seed), row
+    return row
 
 
 def _map(fn, tasks, jobs):
@@ -207,18 +195,6 @@ def _map(fn, tasks, jobs):
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
-
-
-def run_sweep(spec):
-    """All sweep rows, sorted by swept value, then mode, then seed."""
-    tasks = [(spec.base_overrides, spec.param, index, value, mode, seed,
-              spec.num_bi)
-             for index, value in enumerate(spec.values)
-             for mode in spec.modes
-             for seed in ((None,) if mode == "analytic" else spec.seeds)]
-    results = _map(_sweep_point, tasks, spec.jobs)
-    results.sort(key=lambda pair: pair[0])
-    return [row for _, row in results]
 
 
 def _render(value):
@@ -241,7 +217,7 @@ def _emit(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_text(path, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -261,48 +237,20 @@ def _cmd_simulate(args):
     return 0
 
 
-def _parse_sweep_values(param, text):
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if param != "cbap_fraction" and "-" in part:
-            try:
-                span, step = part.split(":") if ":" in part else (part, "1")
-                lo, hi = span.split("-")
-                lo, hi, step = int(lo), int(hi), int(step)
-            except ValueError:
-                raise ConfigError(f"bad sweep range {part!r}")
-            if hi < lo or step < 1:
-                raise ConfigError(f"bad sweep range {part!r}")
-            values.extend(range(lo, hi + 1, step))
-        else:
-            try:
-                values.append(_finite(part) if param == "cbap_fraction"
-                              else int(part))
-            except (ValueError, argparse.ArgumentTypeError):
-                raise ConfigError(f"bad sweep value {part!r}")
-    if not values:
-        raise ConfigError(f"no sweep values in {text!r}")
-    return tuple(values)
-
-
 def _cmd_sweep(args):
+    kind = _finite if args.param == "cbap_fraction" else int
+    values = _parse_list(args.values, kind, "sweep value")
+    base_overrides = _collect_overrides(args)
+    seeds = parse_seeds(args.seeds)
     modes = ("analytic", "sim") if args.mode == "both" else (args.mode,)
-    spec = SweepSpec(
-        param=args.param,
-        values=_parse_sweep_values(args.param, args.values),
-        base_overrides=_collect_overrides(args),
-        modes=modes,
-        seeds=parse_seeds(args.seeds),
-        num_bi=args.num_bi,
-        jobs=args.jobs,
-    )
-    comments = [f"sweep_param={spec.param}",
-                f"sweep_values={','.join(str(v) for v in spec.values)}",
-                *_provenance(make_params(**spec.base_overrides))[0]]
-    _write_csv(args.out, comments, SWEEP_COLUMNS, run_sweep(spec))
+    points = [(value, mode, seed) for value in values for mode in modes
+              for seed in ((None,) if mode == "analytic" else seeds)]
+    comments = [f"sweep_param={args.param}",
+                f"sweep_values={','.join(str(v) for v in values)}",
+                *_provenance(make_params(**base_overrides))[0]]
+    run = functools.partial(_sweep_point, base_overrides, args.param,
+                            args.num_bi)
+    _write_csv(args.out, comments, SWEEP_COLUMNS, _map(run, points, args.jobs))
     return 0
 
 
@@ -333,28 +281,33 @@ def _cmd_validate(args):
     return 0
 
 
-def _read_csv(path):
-    """The ``name=value`` pairs of a CSV's comment lines, and its data rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    comments = dict(line[1:].strip().partition("=")[::2]
-                    for line in lines if line.startswith("#"))
-    rows = csv.DictReader(line for line in lines if not line.startswith("#"))
-    return comments, list(rows)
-
-
 _JOIN_KEY = ("n", "q", "w0", "m", "cbap_fraction")
 
 
-def _group_rows(rows, role):
-    """Rows of ``role`` with a result, by ``config_hash``."""
+def _read_results(path, role):
+    """A CSV's ``name=value`` comment pairs, and its rows of ``role`` with a
+    result by ``config_hash``, with ``u`` and ``mean_delay_s`` as numbers."""
+    with open_text(path) as fh:
+        lines = fh.readlines()
+    comments = dict(line[1:].strip().partition("=")[::2]
+                    for line in lines if line.startswith("#"))
     grouped = {}
-    for row in rows:
+    for row in csv.DictReader(line for line in lines if not line.startswith("#")):
         if (row.get("mode") or role) != role or row.get("error"):
             continue
-        if row.get("u") and row.get("config_hash"):
-            grouped.setdefault(row["config_hash"], []).append(row)
-    return grouped
+        if not (row.get("u") and row.get("config_hash")):
+            continue
+        for column in _JOIN_KEY:
+            if row.get(column) is None:
+                raise ConfigError(f"{path}: a row has no {column!r} column")
+        for column in ("u", "mean_delay_s"):
+            try:
+                row[column] = float(row[column]) if row.get(column) else None
+            except ValueError:
+                raise ConfigError(f"{path}: {column} {row[column]!r} "
+                                  f"is not a number")
+        grouped.setdefault(row["config_hash"], []).append(row)
+    return comments, grouped
 
 
 def _point(rows):
@@ -390,15 +343,13 @@ def _check_same_configs(args, analytic, simulated, a_conf, s_conf):
 
 
 def _mean_of(rows, column):
-    values = [float(r[column]) for r in rows if r.get(column)]
+    values = [r[column] for r in rows if r[column] is not None]
     return sum(values) / len(values) if values else None
 
 
 def _cmd_compare(args):
-    a_conf, a_rows = _read_csv(args.analytic_csv)
-    s_conf, s_rows = _read_csv(args.sim_csv)
-    analytic = _group_rows(a_rows, "analytic")
-    simulated = _group_rows(s_rows, "sim")
+    a_conf, analytic = _read_results(args.analytic_csv, "analytic")
+    s_conf, simulated = _read_results(args.sim_csv, "sim")
     _check_same_configs(args, analytic, simulated, a_conf, s_conf)
     shared = sorted(analytic.keys() & simulated.keys(),
                     key=lambda digest: (_point(analytic[digest]), digest))
@@ -490,7 +441,8 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     _add_config_flags(p_sweep)
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
+    p_sweep.add_argument("--param", required=True,
+                         choices=("n", "w0", "q", "cbap_fraction"))
     p_sweep.add_argument("--values", required=True,
                          help="e.g. 10-50:10 or 0.2,0.4,1.0")
     p_sweep.add_argument("--mode", default="both",

@@ -290,6 +290,14 @@ def _parse_value(key, raw):
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}")
 
 
+def open_text(path, mode="r", newline=None):
+    """``path`` opened as UTF-8 text, or a ConfigError that names it."""
+    try:
+        return open(path, mode, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot open {path}: {exc.strerror}")
+
+
 def parse_config_file(path):
     """Read a flat key=value file into an override dict.
 
@@ -298,7 +306,7 @@ def parse_config_file(path):
     """
     overrides = {}
     unknown = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

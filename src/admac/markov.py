@@ -40,8 +40,6 @@ class FixedPointSolution:
     p: float
     b000: float
     p_b: float
-    eta: float
-    eta_prime: float
     iterations: int
     residual: float
 
@@ -125,7 +123,7 @@ def _tau_residual(tau, sector, w0, m, window_rule):
     p = collision_probability(tau, sector.n_k)
     eta, eta_prime = eta_terms(p, sector.p_f, sector.p_h, sector.p_h_prime)
     b000 = b000_closed_form(p, w0, m, eta, eta_prime, window_rule)
-    return tau_of(p, b000, m) - tau, p, b000, eta, eta_prime
+    return tau_of(p, b000, m) - tau, p, b000
 
 
 def solve_fixed_point(sector, w0, m, tol=1e-10, max_iter=200,
@@ -138,10 +136,9 @@ def solve_fixed_point(sector, w0, m, tol=1e-10, max_iter=200,
     ``tol`` within ``max_iter`` iterations.
     """
     if sector.n_k == 1:
-        g, p, b000, eta, eta_prime = _tau_residual(0.0, sector, w0, m, window_rule)
+        g, p, b000 = _tau_residual(0.0, sector, w0, m, window_rule)
         return FixedPointSolution(
-            tau=g, p=p, b000=b000, p_b=p, eta=eta, eta_prime=eta_prime,
-            iterations=0, residual=0.0,
+            tau=g, p=p, b000=b000, p_b=p, iterations=0, residual=0.0,
         )
 
     lo = TAU_EPS
@@ -165,13 +162,11 @@ def solve_fixed_point(sector, w0, m, tol=1e-10, max_iter=200,
     mid = 0.5 * (lo + hi)
     for iteration in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
-        g_mid, p, b000, eta, eta_prime = _tau_residual(
-            mid, sector, w0, m, window_rule
-        )
+        g_mid, p, b000 = _tau_residual(mid, sector, w0, m, window_rule)
         if abs(g_mid) <= tol:
             return FixedPointSolution(
-                tau=mid, p=p, b000=b000, p_b=p, eta=eta, eta_prime=eta_prime,
-                iterations=iteration, residual=abs(g_mid),
+                tau=mid, p=p, b000=b000, p_b=p, iterations=iteration,
+                residual=abs(g_mid),
             )
         if g_mid > 0.0:
             lo = mid

@@ -77,7 +77,6 @@ def _streams(seed, station_ids):
 class SimStats:
     """Per-sector counters and success-conditioned delays of one run."""
 
-    seed: int
     num_bi: int
     sector_cbap_slots: tuple
     successes: tuple
@@ -85,7 +84,6 @@ class SimStats:
     idle_slots: tuple
     dropped: tuple
     attempts: tuple
-    busy_time: tuple
     payload_time: tuple
     delays: tuple
 
@@ -229,7 +227,6 @@ def run_simulation(params, timings, seed, num_bi=200):
         delay_arrays.append(np.asarray(delays, dtype=np.float64) * sigma)
 
     return SimStats(
-        seed=seed,
         num_bi=num_bi,
         sector_cbap_slots=tuple(params.cbap_split),
         successes=tuple(successes),
@@ -237,10 +234,6 @@ def run_simulation(params, timings, seed, num_bi=200):
         idle_slots=tuple(idles),
         dropped=tuple(drops_all),
         attempts=tuple(attempts_all),
-        busy_time=tuple(
-            (s * nf + c * nc) * sigma
-            for s, c in zip(successes, collisions)
-        ),
         payload_time=tuple(s * timings.t_data for s in successes),
         delays=tuple(delay_arrays),
     )

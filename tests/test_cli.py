@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from admac import analyze, cli, make_params
-from admac.cli import SweepSpec, config_hash, main, parse_seeds
+from admac.cli import config_hash, main, parse_seeds
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -142,9 +142,12 @@ def test_infeasible_window_is_model_error(capsys):
      "analytic"],
     ["sweep", "--param", "cbap_fraction", "--values", "0.4,inf", "--mode",
      "analytic"],
+    ["solve", "--cbap-fraction", "1e308"],
+    ["solve", "--bi-ms", "1e308"],
 ], ids=["fraction-nan", "fraction-inf", "bi-nan", "bi-inf", "sweep-nan",
-        "sweep-inf"])
+        "sweep-inf", "fraction-overflow", "bi-overflow"])
 def test_non_finite_flags_are_config_errors(argv, capsys):
+    # a finite flag whose slot count overflows is as unusable as an infinite one
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("config error:")
 
@@ -164,6 +167,19 @@ def test_solve_stdout_bytes_are_pinned(capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == (
         "2ce18c3bf871d01deed8d30b9325ff7b88cfe699d355348d9bc60e4be3cc0853")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "{path}"],
+    ["compare", "{path}", "s.csv"],
+    ["solve", "--out", "{path}"],
+], ids=["config", "compare-input", "out"])
+def test_unopenable_path_is_config_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "file"
+    assert main([arg.format(path=path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot open {path}: ")
+    assert err.count("\n") == 1
 
 
 # --- simulate ---
@@ -205,6 +221,7 @@ def test_parse_seed_lists_and_ranges():
     assert parse_seeds("0-3,7") == (0, 1, 2, 3, 7)
     assert parse_seeds("5") == (5,)
     assert parse_seeds("3,1,2,1") == (1, 2, 3)
+    assert parse_seeds("0-6:3") == (0, 3, 6)
 
 
 @pytest.mark.parametrize("text", ["", "a", "3-1", "-2", "1-"])
@@ -247,6 +264,17 @@ def test_sweep_continues_past_infeasible_point(tmp_path):
     assert 0.0 < float(good["u"]) < 1.0
 
 
+def test_sweep_keeps_an_error_row_for_an_overflowing_share(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--param", "cbap_fraction", "--values", "1e308,0.4",
+                 "--mode", "analytic", "--out", str(out)]) == 0
+    _, (bad, good) = read_csv(out)
+    assert bad["cbap_fraction"] == "1e+308"
+    assert "cbap_slots" in bad["error"]
+    assert bad["u"] == ""
+    assert good["error"] == ""
+
+
 def test_large_population_solves_and_sweeps(tmp_path):
     # from n_k ~ 1175 up the after-collision odds pass the float range of expm1
     assert main(["solve", "--n", "1200", "--cbap-fraction", "0.4"]) in (0, 2)
@@ -257,24 +285,27 @@ def test_large_population_solves_and_sweeps(tmp_path):
     assert [row["n"] for row in rows] == ["10", "2000"]
 
 
-def test_sweep_spec_validation():
-    from admac import ConfigError
-    good = dict(param="n", values=(5,), base_overrides={},
-                modes=("analytic",), seeds=(0,), num_bi=10, jobs=1)
-    SweepSpec(**good)
-    with pytest.raises(ConfigError):
-        SweepSpec(**{**good, "modes": ()})
-    with pytest.raises(ConfigError):
-        SweepSpec(**{**good, "values": ()})
-    with pytest.raises(ConfigError):
-        SweepSpec(**{**good, "param": "slot_time"})
-
-
 def test_sweep_rejects_bad_value_text(capsys):
     assert main(["sweep", "--param", "n", "--values", "5-1"]) == 1
     assert main(["sweep", "--param", "n", "--values", "x"]) == 1
     assert main(["sweep", "--param", "q", "--values", ""]) == 1
+    assert main(["sweep", "--param", "slot_time", "--values", "5"]) == 1
+    assert main(["sweep", "--param", "n", "--values", "5", "--mode", "nope"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--param", "n", "--values", "4,6", "--mode", "both", "--seeds", "0-1",
+      "--num-bi", "3", "--cbap-fraction", "0.4"],
+     "46ec255ad39ce04644d313e2e71d511ea956625a5e9960c2be68b1d0ca9af220"),
+    (["--param", "cbap_fraction", "--values", "0.0005,0.4", "--mode", "both",
+      "--n", "5", "--seeds", "0", "--num-bi", "3"],
+     "80667927de562698f576aa8918d95b3b55143b39941d399d98efdf24d286db6f"),
+], ids=["population", "share-with-infeasible-row"])
+def test_sweep_stdout_bytes_are_pinned(argv, digest, capsys):
+    assert main(["sweep", *argv]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 class RecordingExecutor:
@@ -399,6 +430,28 @@ def test_compare_without_join_is_config_error(tmp_path, capsys):
     _, sim_csv = make_pair(tmp_path, n="6")
     assert main(["compare", str(analytic_csv), str(sim_csv)]) == 1
     assert "no joinable rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, row, column", [
+    ("config_hash,q,w0,m,cbap_fraction,u,mean_delay_s",
+     "{digest},1,7,5,0.4,0.33,0.0015", "'n'"),
+    ("config_hash,n,q,w0,m,cbap_fraction,u,mean_delay_s",
+     "{digest},10,1,7,5,0.4,high,0.0015", "u 'high'"),
+    ("config_hash,n,q,w0,m,cbap_fraction,u,mean_delay_s",
+     "{digest},10,1,7,5,0.4,0.33,1.5ms", "mean_delay_s '1.5ms'"),
+], ids=["no-join-column", "u-not-a-number", "delay-not-a-number"])
+def test_malformed_compare_input_is_config_error(header, row, column, tmp_path,
+                                                 capsys):
+    analytic_csv, sim_csv = tmp_path / "a.csv", tmp_path / "s.csv"
+    assert main(["solve", "--n", "10", "--cbap-fraction", "0.4",
+                 "--out", str(analytic_csv)]) == 0
+    digest = config_hash(make_params(n=10, cbap_slots=8000))
+    sim_csv.write_text(f"{header}\n{row.format(digest=digest)}\n",
+                       encoding="utf-8")
+    assert main(["compare", str(analytic_csv), str(sim_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {sim_csv}: ")
+    assert column in err
 
 
 def test_compare_refuses_same_point_under_other_configuration(tmp_path, capsys):

@@ -307,9 +307,8 @@ def test_identical_seed_bit_identical_stats():
     timings = derive_timings(params)
     one = run_simulation(params, timings, seed=7, num_bi=15)
     two = run_simulation(params, timings, seed=7, num_bi=15)
-    for name in ("seed", "num_bi", "sector_cbap_slots", "successes",
-                 "collisions", "idle_slots", "dropped", "attempts",
-                 "busy_time", "payload_time"):
+    for name in ("num_bi", "sector_cbap_slots", "successes", "collisions",
+                 "idle_slots", "dropped", "attempts", "payload_time"):
         assert getattr(one, name) == getattr(two, name)
     for a, b in zip(one.delays, two.delays):
         assert a.tobytes() == b.tobytes()
@@ -390,9 +389,9 @@ def test_four_sectors_beat_one_empirically(sim_bank):
 
 def test_report_marks_empty_run_undefined():
     stats = SimStats(
-        seed=0, num_bi=1, sector_cbap_slots=(8000,), successes=(0,),
+        num_bi=1, sector_cbap_slots=(8000,), successes=(0,),
         collisions=(0,), idle_slots=(8000,), dropped=(0,), attempts=(0,),
-        busy_time=(0.0,), payload_time=(0.0,),
+        payload_time=(0.0,),
         delays=(np.array([], dtype=np.float64),),
     )
     report = empirical_report(stats, make_params())
@@ -415,9 +414,9 @@ def test_report_single_sector_aggregate_is_sector_u():
 def test_report_utilization_is_payload_over_window_time():
     # 10 ms of payload delivered inside a 40 ms service window
     stats = SimStats(
-        seed=0, num_bi=1, sector_cbap_slots=(8000,), successes=(313,),
+        num_bi=1, sector_cbap_slots=(8000,), successes=(313,),
         collisions=(0,), idle_slots=(0,), dropped=(0,), attempts=(313,),
-        busy_time=(0.02,), payload_time=(0.01,),
+        payload_time=(0.01,),
         delays=(np.array([1e-3], dtype=np.float64),),
     )
     report = empirical_report(stats, make_params())
