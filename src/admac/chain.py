@@ -16,6 +16,8 @@ from .errors import AdmacError, OracleError, OracleSizeError
 from .markov import SteadyStateVector, b000_closed_form, eta_terms, tau_of
 
 MAX_STATES = 100_000
+# largest balance residual and negative mass a stationary vector may carry
+STATIONARY_TOL = 1e-10
 
 # Grid for closed-form-vs-oracle validation: (w0, m, p, p_h, p_h_prime, p_f).
 DEFAULT_GRID = tuple(sorted(set(
@@ -37,7 +39,6 @@ class ExplicitChain:
     matrix: object
     n_states: int
     m: int
-    widths: tuple
 
 
 def raw_sector(p_h, p_h_prime, p_f, n_k=2):
@@ -130,12 +131,10 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     if np.max(np.abs(sums - 1.0)) > 1e-12:
         raise OracleError("transition matrix rows do not sum to 1")
     matrix = csr_array((data, indices, indptr), shape=(n_states, n_states))
-    return ExplicitChain(
-        index=index, matrix=matrix, n_states=n_states, m=m, widths=widths
-    )
+    return ExplicitChain(index=index, matrix=matrix, n_states=n_states, m=m)
 
 
-def stationary_distribution(chain, tol=1e-12, method="auto"):
+def stationary_distribution(chain, method="auto"):
     """Solve pi P = pi, sum(pi) = 1 for the explicit chain.
 
     One sparse LU solve of (P^T - I) pi = 0 with the balance equation of
@@ -180,16 +179,16 @@ def stationary_distribution(chain, tol=1e-12, method="auto"):
 
     flow = np.bincount(indices, weights=data * pi[rows], minlength=n)
     residual = np.max(np.abs(flow - pi))
-    if residual > max(tol, 1e-10):
-        raise OracleError(f"stationary residual {residual} exceeds {tol}")
-    if np.min(pi) < -1e-10:
+    if residual > STATIONARY_TOL:
+        raise OracleError(f"stationary residual {residual} exceeds {STATIONARY_TOL}")
+    if np.min(pi) < -STATIONARY_TOL:
         raise OracleError(f"stationary vector has negative mass {np.min(pi)}")
     mass = pi.tolist()
     entries = {state: mass[row] for state, row in chain.index.items()}
-    return SteadyStateVector(m=chain.m, widths=chain.widths, entries=entries)
+    return SteadyStateVector(m=chain.m, entries=entries)
 
 
-def validation_report(grid=DEFAULT_GRID, window_rule="doubling"):
+def validation_report(grid=DEFAULT_GRID):
     """Closed form vs oracle on every grid point.
 
     Returns a list of dict rows with both b000 values, both tau values,
@@ -201,9 +200,9 @@ def validation_report(grid=DEFAULT_GRID, window_rule="doubling"):
         try:
             sector = raw_sector(p_h, p_h_prime, p_f)
             eta, eta_prime = eta_terms(p, p_f, p_h, p_h_prime)
-            b_closed = b000_closed_form(p, w0, m, eta, eta_prime, window_rule)
+            b_closed = b000_closed_form(p, w0, m, eta, eta_prime)
             tau_closed = tau_of(p, b_closed, m)
-            chain = build_chain(p, sector, w0, m, window_rule=window_rule)
+            chain = build_chain(p, sector, w0, m)
             vec = stationary_distribution(chain)
         except AdmacError as exc:
             raise type(exc)(f"grid point {point}: {exc}") from exc

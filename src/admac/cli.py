@@ -28,7 +28,7 @@ import sys
 from dataclasses import fields
 
 from .config import (ModelParams, derive_timings, make_params, open_text,
-                     parse_config_file)
+                     parse_config_file, read_lines)
 from .errors import AdmacError, ConfigError, ValidationError
 from .metrics import analyze
 
@@ -95,17 +95,17 @@ def _parse_list(text, kind, what):
 
 def parse_seeds(text):
     """Parse '0-9', '0-8:2', '0,3,7', or combinations into a sorted seed tuple."""
-    seeds = sorted(set(_parse_list(text, int, "seed")))
-    if seeds[0] < 0:
-        raise ConfigError("seeds must be non-negative")
-    return tuple(seeds)
+    return tuple(sorted(set(_parse_list(text, int, "seed"))))
 
 
 def _with_flag(overrides, name, value):
     """``overrides`` with one flag set; ``bi_ms`` and ``cbap_fraction`` set
     ``bi_slots`` and ``cbap_slots`` at the effective slot time and interval."""
     if name == "bi_ms":
-        slots = value * 1e-3 / overrides.get("slot_time", ModelParams.slot_time)
+        slot_time = overrides.get("slot_time", ModelParams.slot_time)
+        if slot_time <= 0:
+            raise ConfigError("slot_time must be > 0")
+        slots = value * 1e-3 / slot_time
         target = "bi_slots"
     elif name == "cbap_fraction":
         slots = value * overrides.get("bi_slots", ModelParams.bi_slots)
@@ -287,8 +287,7 @@ _JOIN_KEY = ("n", "q", "w0", "m", "cbap_fraction")
 def _read_results(path, role):
     """A CSV's ``name=value`` comment pairs, and its rows of ``role`` with a
     result by ``config_hash``, with ``u`` and ``mean_delay_s`` as numbers."""
-    with open_text(path) as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     comments = dict(line[1:].strip().partition("=")[::2]
                     for line in lines if line.startswith("#"))
     grouped = {}

@@ -128,10 +128,8 @@ def _round_robin(n, q):
 
 def _split_cbap(cbap_slots, populations, rule):
     """Divide the contention period into per-sector slot budgets."""
-    q = len(populations)
     if rule == "equal":
-        base, extra = divmod(cbap_slots, q)
-        return [base + 1 if k < extra else base for k in range(q)]
+        return _round_robin(cbap_slots, len(populations))
     n = sum(populations)
     split = [cbap_slots * nk // n for nk in populations]
     short = cbap_slots - sum(split)
@@ -298,6 +296,15 @@ def open_text(path, mode="r", newline=None):
         raise ConfigError(f"cannot open {path}: {exc.strerror}")
 
 
+def read_lines(path):
+    """Lines of ``path``; a ConfigError names it if unopenable or not UTF-8."""
+    with open_text(path) as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {path}: not UTF-8 ({exc.reason})")
+
+
 def parse_config_file(path):
     """Read a flat key=value file into an override dict.
 
@@ -306,19 +313,18 @@ def parse_config_file(path):
     """
     overrides = {}
     unknown = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, raw = text.split("=", 1)
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                unknown.append(key)
-                continue
-            overrides[key] = _parse_value(key, raw)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
+        key, raw = text.split("=", 1)
+        key = key.strip()
+        if key not in _FIELD_TYPES:
+            unknown.append(key)
+            continue
+        overrides[key] = _parse_value(key, raw)
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
     return overrides

@@ -30,6 +30,8 @@ from .errors import InfeasibleModelError, InternalConsistencyError
 TAU_EPS = 1e-12
 PB_MARGIN = 1e-9
 ZERO_ODDS_TOL = 1e-13
+ROOT_TOL = 1e-10
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class FixedPointSolution:
     tau: float
     p: float
     b000: float
-    p_b: float
     iterations: int
     residual: float
 
@@ -49,7 +50,6 @@ class SteadyStateVector:
     """Stationary probabilities keyed by (stage, counter, flag)."""
 
     m: int
-    widths: tuple
     entries: dict
 
     def total(self):
@@ -126,20 +126,36 @@ def _tau_residual(tau, sector, w0, m, window_rule):
     return tau_of(p, b000, m) - tau, p, b000
 
 
-def solve_fixed_point(sector, w0, m, tol=1e-10, max_iter=200,
-                      window_rule="doubling"):
+def _bisect(residual, lo, hi, what):
+    """Bisect (lo, hi) until ``residual(mid)[0]``, a G falling through zero,
+    is within ROOT_TOL; return mid, the step count and ``residual(mid)``."""
+    for iteration in range(1, MAX_ITER + 1):
+        mid = 0.5 * (lo + hi)
+        found = residual(mid)
+        if abs(found[0]) <= ROOT_TOL:
+            return mid, iteration, found
+        if found[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise InfeasibleModelError(
+        f"{what} did not converge below {ROOT_TOL} in {MAX_ITER} iterations; "
+        f"last bracket [{lo:.12g}, {hi:.12g}]"
+    )
+
+
+def solve_fixed_point(sector, w0, m, window_rule="doubling"):
     """Bisect tau until the attempt rate reproduces itself.
 
     The upper bracket is capped so that the busy probability implied by tau
     keeps every holding denominator positive.  Raises InfeasibleModelError
     when no sign change exists in the bracket or bisection fails to reach
-    ``tol`` within ``max_iter`` iterations.
+    ROOT_TOL within MAX_ITER iterations.
     """
     if sector.n_k == 1:
         g, p, b000 = _tau_residual(0.0, sector, w0, m, window_rule)
-        return FixedPointSolution(
-            tau=g, p=p, b000=b000, p_b=p, iterations=0, residual=0.0,
-        )
+        return FixedPointSolution(tau=g, p=p, b000=b000, iterations=0,
+                                  residual=0.0)
 
     lo = TAU_EPS
     hi = 1.0 - TAU_EPS
@@ -159,23 +175,11 @@ def solve_fixed_point(sector, w0, m, tol=1e-10, max_iter=200,
             f"G({lo})={g_lo:.3g}, G({hi:.6g})={g_hi:.3g}"
         )
 
-    mid = 0.5 * (lo + hi)
-    for iteration in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        g_mid, p, b000 = _tau_residual(mid, sector, w0, m, window_rule)
-        if abs(g_mid) <= tol:
-            return FixedPointSolution(
-                tau=mid, p=p, b000=b000, p_b=p, iterations=iteration,
-                residual=abs(g_mid),
-            )
-        if g_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise InfeasibleModelError(
-        f"fixed point did not converge below {tol} in {max_iter} iterations; "
-        f"last bracket [{lo:.12g}, {hi:.12g}]"
-    )
+    tau, iterations, (g, p, b000) = _bisect(
+        lambda mid: _tau_residual(mid, sector, w0, m, window_rule),
+        lo, hi, "fixed point")
+    return FixedPointSolution(tau=tau, p=p, b000=b000, iterations=iterations,
+                              residual=abs(g))
 
 
 def steady_state_vector(sol, sector, w0, m, window_rule="doubling"):
@@ -194,11 +198,11 @@ def steady_state_vector(sol, sector, w0, m, window_rule="doubling"):
         entries[(i, 0, 0)] = (p ** i) * b000
         for j in range(1, w):
             column = sector.p_h_prime if j == 1 else sector.p_h
-            advance = 1.0 - sol.p_b - column
+            advance = 1.0 - sol.p - column
             mass = inflow * (w - j) / w / advance
             entries[(i, j, 0)] = mass
             entries[(i, j, -1)] = mass * column / (1.0 - sector.p_f)
-    vec = SteadyStateVector(m=m, widths=widths, entries=entries)
+    vec = SteadyStateVector(m=m, entries=entries)
     total = vec.total()
     if abs(total - 1.0) > 1e-9:
         raise InternalConsistencyError(
@@ -349,11 +353,11 @@ def _after_collision(alpha, n_k):
     return p_idle, odds
 
 
-def _coupled_cycle(alpha, n_k, widths, max_iter):
+def _coupled_cycle(alpha, n_k, widths):
     """Packet cycle at ``alpha`` with the after-collision odds made consistent."""
     p_idle, odds = _after_collision(alpha, n_k)
     p_zero = 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         nxt = odds(_zero_share(p_idle, p_zero, widths))
         if abs(nxt - p_zero) <= ZERO_ODDS_TOL:
             return p_idle, nxt, _packet_cycle(p_idle, nxt, widths)
@@ -406,8 +410,7 @@ def _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, residual):
     )
 
 
-def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling", tol=1e-10,
-                             max_iter=200):
+def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling"):
     """Bisect the per-idle-slot rate at which a station reaches zero.
 
     Each station reaches zero on an idle slot with chance ``alpha``, so an
@@ -434,19 +437,11 @@ def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling", tol=1e-10,
             "again at once and keep the channel"
         )
 
-    lo, hi = TAU_EPS, 1.0 - TAU_EPS
-    for iteration in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        p_idle, p_zero, cycle = _coupled_cycle(mid, n_k, widths, max_iter)
-        g_mid = cycle.idle_attempts / cycle.decrements - mid
-        if abs(g_mid) <= tol:
-            return _solution(mid, n_k, p_idle, p_zero, cycle, iteration,
-                             abs(g_mid))
-        if g_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise InfeasibleModelError(
-        f"idle-slot coupling did not converge below {tol} in {max_iter} "
-        f"iterations; last bracket [{lo:.12g}, {hi:.12g}]"
-    )
+    def residual(alpha):
+        p_idle, p_zero, cycle = _coupled_cycle(alpha, n_k, widths)
+        g = cycle.idle_attempts / cycle.decrements - alpha
+        return g, p_idle, p_zero, cycle
+
+    alpha, iterations, (g, p_idle, p_zero, cycle) = _bisect(
+        residual, TAU_EPS, 1.0 - TAU_EPS, "idle-slot coupling")
+    return _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, abs(g))

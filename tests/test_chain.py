@@ -70,7 +70,7 @@ def test_closed_form_matches_oracle_with_decoupled_busy_probability():
 def test_two_state_symmetric_chain_is_uniform():
     matrix = csr_array([[0.7, 0.3], [0.3, 0.7]])
     chain = ExplicitChain(index={(0, 0, 0): 0, (0, 1, 0): 1}, matrix=matrix,
-                          n_states=2, m=0, widths=(2,))
+                          n_states=2, m=0)
     vec = stationary_distribution(chain)
     assert vec.entries[(0, 0, 0)] == pytest.approx(0.5, rel=1e-12)
     assert vec.entries[(0, 1, 0)] == pytest.approx(0.5, rel=1e-12)

@@ -169,6 +169,28 @@ def test_solve_stdout_bytes_are_pinned(capsys):
         "2ce18c3bf871d01deed8d30b9325ff7b88cfe699d355348d9bc60e4be3cc0853")
 
 
+@pytest.mark.parametrize("slot_time", ["0", "-5e-6"])
+def test_beacon_length_at_a_slot_time_of_zero_or_less_is_config_error(
+        slot_time, tmp_path, capsys):
+    cfg = tmp_path / "slot.cfg"
+    cfg.write_text(f"slot_time = {slot_time}\n")
+    assert main(["solve", "--config", str(cfg), "--bi-ms", "100"]) == 1
+    assert capsys.readouterr().err == "config error: slot_time must be > 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "{path}"],
+    ["compare", "{path}", "s.csv"],
+], ids=["config", "compare-input"])
+def test_input_that_is_not_utf8_is_config_error(argv, tmp_path, capsys):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfen = 3\n")
+    assert main([arg.format(path=path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: not UTF-8")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--config", "{path}"],
     ["compare", "{path}", "s.csv"],
@@ -229,6 +251,14 @@ def test_parse_seeds_rejects_malformed(text):
     from admac import ConfigError
     with pytest.raises(ConfigError):
         parse_seeds(text)
+
+
+@pytest.mark.parametrize("text", ["-2", "-3-5"])
+def test_negative_seeds_are_bad_ranges(text, capsys):
+    # any part holding "-" is read as a range, so no seed list reaches the
+    # simulator with a negative seed
+    assert main(["simulate", f"--seeds={text}"]) == 1
+    assert capsys.readouterr().err == f"config error: bad seed range {text!r}\n"
 
 
 # --- sweep ---
@@ -383,6 +413,13 @@ def test_validate_passes_default_grid(capsys):
     out = capsys.readouterr().out
     assert "worst relative error" in out
     assert "108 points" in out
+
+
+def test_validate_stdout_bytes_are_pinned(capsys):
+    assert main(["validate"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "0cca3f38127058975d9c1152587402433f434bc27500fae1c3dcaf9e7cdf6db5")
 
 
 def test_validate_fails_at_impossible_tolerance(capsys):

@@ -10,6 +10,7 @@ from admac import (AdmacError, InfeasibleModelError, b000_closed_form,
                    solve_fixed_point, solve_idle_slot_coupling,
                    stationary_distribution, steady_state_vector, tau_of,
                    window_sizes)
+from admac import markov
 from admac.markov import _after_collision, _packet_cycle, _zero_share
 
 
@@ -101,7 +102,6 @@ def test_fixed_point_single_station():
     sector = raw_sector(1e-4, 1.4e-3, 0.6, n_k=1)
     sol = solve_fixed_point(sector, 7, 5)
     assert sol.p == 0.0
-    assert sol.p_b == 0.0
     assert sol.residual == 0.0
     eta, eta_prime = eta_terms(0.0, 0.6, 1e-4, 1.4e-3)
     assert sol.tau == pytest.approx(
@@ -169,6 +169,29 @@ def test_fixed_point_default_sector_converges():
         return tau_of(p, b000_closed_form(p, 7, 5, eta, eta_prime), 5) - sol.tau
     assert abs(g(sol10, sec10)) <= 1e-10
     assert abs(g(sol20, sec20)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, cbap_slots, tau, p, iterations", [
+    (10, 8000, 0.06267459718423626, 0.44151246492873397, 33),
+    (50, 20000, 0.02113184320303863, 0.6488555227911823, 29),
+])
+def test_fixed_point_floats_are_pinned(n, cbap_slots, tau, p, iterations):
+    # a refactor of the bisection leaves these floats and step counts as
+    # they are; a different root finder re-pins them
+    from admac import derive_sector_models, derive_timings, make_params
+    params = make_params(n=n, cbap_slots=cbap_slots)
+    sector, = derive_sector_models(params, derive_timings(params))
+    sol = solve_fixed_point(sector, 7, 5)
+    assert (sol.tau, sol.p, sol.iterations) == (tau, p, iterations)
+
+
+def test_fixed_point_raises_when_the_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(markov, "MAX_ITER", 10)
+    sector = raw_sector(1e-4, 1.4e-3, 0.6, n_k=10)
+    with pytest.raises(InfeasibleModelError,
+                       match=r"^fixed point did not converge below 1e-10 in "
+                             r"10 iterations; last bracket \["):
+        solve_fixed_point(sector, 7, 5)
 
 
 def test_fixed_point_rejects_saturated_boundary():
@@ -268,6 +291,24 @@ def test_coupling_attempt_after_idle_collides_more_than_chain_step_rate():
     coupled = solve_idle_slot_coupling(50, 7, 5)
     assert coupled.p > chain_step.p
     assert coupled.p_after_idle > coupled.p > coupled.p_after_collision
+
+
+@pytest.mark.parametrize("n_k, w0, iterations", [(10, 7, 33), (50, 31, 32)])
+def test_coupling_step_counts_are_pinned(n_k, w0, iterations):
+    assert solve_idle_slot_coupling(n_k, w0, 5).iterations == iterations
+
+
+def test_coupling_raises_when_the_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(markov, "MAX_ITER", 10)
+    with pytest.raises(InfeasibleModelError,
+                       match=r"^idle-slot coupling did not converge below "
+                             r"1e-10 in 10 iterations; last bracket \["):
+        solve_idle_slot_coupling(10, 7, 5)
+    # the same budget bounds the after-collision odds, which run out first
+    monkeypatch.setattr(markov, "MAX_ITER", 3)
+    with pytest.raises(InfeasibleModelError,
+                       match="after-collision odds did not settle"):
+        solve_idle_slot_coupling(10, 7, 5)
 
 
 @pytest.mark.parametrize("args", [
