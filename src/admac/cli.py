@@ -10,11 +10,10 @@ comment lines for provenance.  Row schema (stable):
 field so the column count does not depend on the sector count.  Sweep
 output appends ``mode`` and ``error`` columns; infeasible sweep points
 emit a row with the error message instead of aborting the sweep.  Analytic
-rows leave ``seed`` and ``num_bi`` empty; their ``mean_delay_s`` and
-``drop_prob`` are service-period-weighted sector means, while simulated
-rows report the all-packet mean delay and overall drop share.  Exit codes:
-0 success, 1 config error, 2 infeasible model or solver failure,
-3 validation failure.
+rows leave ``seed`` and ``num_bi`` empty.  ``u``, ``mean_delay_s`` and
+``drop_prob`` print the ``PerformanceReport`` fields ``aggregate_u``,
+``mean_delay`` and ``drop_prob``.  Exit codes: 0 success, 1 config error,
+2 infeasible model or solver failure, 3 validation failure.
 """
 
 import argparse
@@ -129,39 +128,23 @@ def _collect_overrides(args):
     return overrides
 
 
-def _row(params, digest, report, **measured):
-    """Output row of one point: its identity, its utilizations, ``measured``."""
+def _row(params, digest, report, seed=None, num_bi=None):
+    """Base-column row of one point's report; analytic rows have no seed."""
     return {
-        "config_hash": digest, "n": params.n, "q": params.q, "w0": params.w0,
-        "m": params.m, "cbap_fraction": params.cbap_slots / params.bi_slots,
+        "config_hash": digest, "seed": seed, "n": params.n, "q": params.q,
+        "w0": params.w0, "m": params.m,
+        "cbap_fraction": params.cbap_slots / params.bi_slots,
         "u_sectors": ";".join(str(u) for u in report.per_sector_u),
-        "u": report.aggregate_u, **measured,
+        "u": report.aggregate_u, "mean_delay_s": report.mean_delay,
+        "drop_prob": report.drop_prob, "num_bi": num_bi,
     }
 
 
-def _analytic_row(params, digest):
-    report = analyze(params)
-    weights = params.cbap_split
-    total = sum(weights)
-    delay = sum(d * c for d, c in zip(report.per_sector_delay, weights)) / total
-    drop = sum(d * c for d, c in zip(report.per_sector_drop_prob, weights)) / total
-    return _row(params, digest, report, seed=None, mean_delay_s=delay,
-                drop_prob=drop, num_bi=None)
-
-
 def _sim_row(params, digest, seed, num_bi):
-    import numpy as np
-
     from .simulator import empirical_report, run_simulation
 
     stats = run_simulation(params, derive_timings(params), seed, num_bi)
-    report = empirical_report(stats, params)
-    all_delays = np.concatenate(stats.delays) if stats.delays else np.array([])
-    delay = float(np.mean(all_delays)) if all_delays.size else None
-    finished = sum(stats.successes) + sum(stats.dropped)
-    drop = sum(stats.dropped) / finished if finished else None
-    return _row(params, digest, report, seed=seed, mean_delay_s=delay,
-                drop_prob=drop, num_bi=num_bi)
+    return _row(params, digest, empirical_report(stats, params), seed, num_bi)
 
 
 def _sweep_point(base_overrides, param, num_bi, point):
@@ -171,7 +154,7 @@ def _sweep_point(base_overrides, param, num_bi, point):
     try:
         params = make_params(**_with_flag(base_overrides, param, value))
         if mode == "analytic":
-            row.update(_analytic_row(params, config_hash(params)))
+            row.update(_row(params, config_hash(params), analyze(params)))
         else:
             row.update(_sim_row(params, config_hash(params), seed, num_bi))
     except AdmacError as exc:
@@ -224,7 +207,8 @@ def _emit(path, text):
 def _cmd_solve(args):
     params = make_params(**_collect_overrides(args))
     comments, digest = _provenance(params)
-    _write_csv(args.out, comments, BASE_COLUMNS, [_analytic_row(params, digest)])
+    _write_csv(args.out, comments, BASE_COLUMNS,
+               [_row(params, digest, analyze(params))])
     return 0
 
 
@@ -286,13 +270,21 @@ _JOIN_KEY = ("n", "q", "w0", "m", "cbap_fraction")
 
 def _read_results(path, role):
     """A CSV's ``name=value`` comment pairs, and its rows of ``role`` with a
-    result by ``config_hash``, with ``u`` and ``mean_delay_s`` as numbers."""
+    result by ``config_hash``, with ``u`` and ``mean_delay_s`` as numbers.
+    Without a ``mode`` column, an empty ``seed`` marks a row analytic and a
+    seed marks it simulated; a row of the other role is an error."""
     lines = read_lines(path)
     comments = dict(line[1:].strip().partition("=")[::2]
                     for line in lines if line.startswith("#"))
     grouped = {}
     for row in csv.DictReader(line for line in lines if not line.startswith("#")):
-        if (row.get("mode") or role) != role or row.get("error"):
+        kind = row.get("mode")
+        if kind is None and row.get("seed") is not None:
+            kind = "sim" if row["seed"] else "analytic"
+            if kind != role:
+                raise ConfigError(f"{path}: has {kind} rows where {role} rows "
+                                  f"belong (an empty seed marks analytic)")
+        if (kind or role) != role or row.get("error"):
             continue
         if not (row.get("u") and row.get("config_hash")):
             continue

@@ -174,9 +174,6 @@ def frame_airtime(num_bytes, rate, phy_overhead=0.0):
 class TimingDurations:
     """Event durations derived from frame sizes and rates."""
 
-    t_rts: float
-    t_cts: float
-    t_ack: float
     t_data: float
     t_suc: float
     t_col: float
@@ -207,9 +204,6 @@ def derive_timings(params):
             f"timings must satisfy t_suc > t_col > 0, got {t_suc} and {t_col}"
         )
     return TimingDurations(
-        t_rts=t_rts,
-        t_cts=t_cts,
-        t_ack=t_ack,
         t_data=t_data,
         t_suc=t_suc,
         t_col=t_col,

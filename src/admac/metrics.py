@@ -18,12 +18,20 @@ from .markov import solve_idle_slot_coupling
 
 @dataclass(frozen=True)
 class PerformanceReport:
-    """Per-sector and aggregate utilization, delay, and drop statistics."""
+    """Per-sector and network utilization, delay, and drop statistics.
+
+    ``aggregate_u``, ``mean_delay`` and ``drop_prob`` are the network values
+    a result row prints.  ``analyze`` weights the sectors' values by service
+    period; ``empirical_report`` weights ``u`` so, and gives the mean delay
+    of every delivered packet and the dropped share of finished packets, or
+    ``None`` when there are none."""
 
     per_sector_u: tuple
     aggregate_u: float
     per_sector_delay: tuple
+    mean_delay: float
     per_sector_drop_prob: tuple
+    drop_prob: float
     diagnostics: tuple
 
 
@@ -128,13 +136,14 @@ def analyze(params):
         delays.append(expected_delay(sol, charged, sector, params))
         drops.append(sol.drop_prob)
         sols.append(sol)
-    aggregate = aggregate_utilization(
-        list(zip(us, (s.cbap_k_slots for s in sectors)))
-    )
+    weights = [s.cbap_k_slots for s in sectors]
+    total = sum(weights)
     return PerformanceReport(
         per_sector_u=tuple(us),
-        aggregate_u=aggregate,
+        aggregate_u=aggregate_utilization(list(zip(us, weights))),
         per_sector_delay=tuple(delays),
+        mean_delay=sum(d * c for d, c in zip(delays, weights)) / total,
         per_sector_drop_prob=tuple(drops),
+        drop_prob=sum(d * c for d, c in zip(drops, weights)) / total,
         diagnostics=tuple(sols),
     )

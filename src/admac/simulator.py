@@ -253,12 +253,16 @@ def empirical_report(stats, params):
         )
         finished = stats.successes[k] + stats.dropped[k]
         drops.append(stats.dropped[k] / finished if finished else None)
+    delivered = np.concatenate(stats.delays)
+    finished = sum(stats.successes) + sum(stats.dropped)
     return PerformanceReport(
         per_sector_u=tuple(us),
         aggregate_u=aggregate_utilization(
             list(zip(us, stats.sector_cbap_slots))
         ),
         per_sector_delay=tuple(delays),
+        mean_delay=float(np.mean(delivered)) if delivered.size else None,
         per_sector_drop_prob=tuple(drops),
+        drop_prob=sum(stats.dropped) / finished if finished else None,
         diagnostics=(),
     )

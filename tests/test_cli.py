@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from admac import analyze, cli, make_params
+from admac import (analyze, cli, derive_timings, empirical_report,
+                   make_params, run_simulation)
 from admac.cli import config_hash, main, parse_seeds
 
 
@@ -169,6 +170,26 @@ def test_solve_stdout_bytes_are_pinned(capsys):
         "2ce18c3bf871d01deed8d30b9325ff7b88cfe699d355348d9bc60e4be3cc0853")
 
 
+THREE_SECTORS = ["--n", "7", "--q", "3", "--cbap-fraction", "0.5"]
+
+
+def test_multi_sector_solve_stdout_bytes_are_pinned(capsys):
+    # pins the service-period weighting of the delay and drop across sectors
+    assert main(["solve", *THREE_SECTORS]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "1458d24c49e3fa54d644e2e15ae492df6e7b7902dba7cfd4b1aaac14a82d7d7b")
+
+
+def test_solve_row_prints_the_reports_network_values(tmp_path):
+    out = tmp_path / "solve.csv"
+    assert main(["solve", *THREE_SECTORS, "--out", str(out)]) == 0
+    _, (row,) = read_csv(out)
+    report = analyze(make_params(n=7, q=3, cbap_slots=10000))
+    assert row["mean_delay_s"] == repr(report.mean_delay)
+    assert row["drop_prob"] == repr(report.drop_prob)
+
+
 @pytest.mark.parametrize("slot_time", ["0", "-5e-6"])
 def test_beacon_length_at_a_slot_time_of_zero_or_less_is_config_error(
         slot_time, tmp_path, capsys):
@@ -235,6 +256,18 @@ def test_multi_sector_simulate_stdout_bytes_are_pinned(capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == (
         "cc146d723dce9b355169516f4fde8c8a02c03e2bb440276b210861416eee307c")
+
+
+def test_simulate_row_prints_the_reports_network_values(tmp_path):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", *THREE_SECTORS, "--seeds", "3", "--num-bi", "10",
+                 "--out", str(out)]) == 0
+    _, (row,) = read_csv(out)
+    params = make_params(n=7, q=3, cbap_slots=10000)
+    stats = run_simulation(params, derive_timings(params), 3, 10)
+    report = empirical_report(stats, params)
+    assert row["mean_delay_s"] == repr(report.mean_delay)
+    assert row["drop_prob"] == repr(report.drop_prob)
 
 
 # --- seeds parsing ---
@@ -489,6 +522,20 @@ def test_malformed_compare_input_is_config_error(header, row, column, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {sim_csv}: ")
     assert column in err
+
+
+@pytest.mark.parametrize("first, second, wrong", [
+    ("sim", "analytic", "sim"), ("sim", "sim", "sim"),
+    ("analytic", "analytic", "analytic"),
+], ids=["swapped", "sim-twice", "analytic-twice"])
+def test_compare_refuses_rows_of_the_wrong_kind(first, second, wrong, tmp_path,
+                                                capsys):
+    # solve and simulate files have no mode column; the seed tells their kind
+    files = dict(zip(("analytic", "sim"), make_pair(tmp_path)))
+    capsys.readouterr()
+    assert main(["compare", str(files[first]), str(files[second])]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: {files[wrong]}: has {wrong} rows where")
 
 
 def test_compare_refuses_same_point_under_other_configuration(tmp_path, capsys):

@@ -62,7 +62,9 @@ def test_derive_timings_loose_mode_adds_one_sifs():
 def test_timing_identity_between_success_and_collision():
     params = make_params()
     t = derive_timings(params)
-    expected_gap = (params.sifs - params.rifs + t.t_cts + t.t_data + t.t_ack)
+    t_cts, t_ack = (frame_airtime(size, params.control_rate, params.phy_overhead)
+                    for size in (params.cts_bytes, params.ack_bytes))
+    expected_gap = (params.sifs - params.rifs + t_cts + t.t_data + t_ack)
     assert t.t_suc - t.t_col == pytest.approx(expected_gap, rel=1e-12)
 
 
@@ -73,8 +75,8 @@ def test_slot_quantized_rounds_exchanges_up_to_whole_slots():
     # 67.93 us and 30.82 us cost 14 and 7 slots of 5 us
     assert q.t_suc == pytest.approx(70 * MICRO, rel=1e-15)
     assert q.t_col == pytest.approx(35 * MICRO, rel=1e-15)
-    assert (q.t_data, q.n_frame_slots, q.n_col_slots, q.t_rts) == \
-        (t.t_data, t.n_frame_slots, t.n_col_slots, t.t_rts)
+    assert (q.t_data, q.n_frame_slots, q.n_col_slots) == \
+        (t.t_data, t.n_frame_slots, t.n_col_slots)
 
 
 def test_derive_timings_rejects_collision_longer_than_success():
@@ -102,8 +104,7 @@ def test_sector_model_deferral_ratio_is_exact():
 
 def test_sector_model_twenty_slot_frame():
     params = make_params()
-    t20 = TimingDurations(t_rts=0, t_cts=0, t_ack=0, t_data=0,
-                          t_suc=100 * MICRO, t_col=50 * MICRO,
+    t20 = TimingDurations(t_data=0, t_suc=100 * MICRO, t_col=50 * MICRO,
                           n_frame_slots=20, n_col_slots=10)
     sector, = derive_sector_models(params, t20)
     assert sector.p_h == pytest.approx(1.25e-4, rel=1e-15)
