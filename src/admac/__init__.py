@@ -23,8 +23,8 @@ _EXPORTS = {
                "make_params", "parse_config_file", "slot_quantized",
                "window_sizes"),
     "markov": ("CoupledSolution", "FixedPointSolution", "SlotProbabilities",
-               "SteadyStateVector", "b000_closed_form", "collision_probability",
-               "eta_terms", "solve_fixed_point", "solve_idle_slot_coupling",
+               "b000_closed_form", "collision_probability", "eta_terms",
+               "solve_fixed_point", "solve_idle_slot_coupling",
                "steady_state_vector", "tau_of"),
     "chain": ("DEFAULT_GRID", "ExplicitChain", "build_chain", "raw_sector",
               "stationary_distribution", "validation_report"),

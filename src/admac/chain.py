@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .config import SectorModel, window_sizes
 from .errors import AdmacError, OracleError, OracleSizeError
-from .markov import SteadyStateVector, b000_closed_form, eta_terms, tau_of
+from .markov import b000_closed_form, eta_terms, tau_of
 
 MAX_STATES = 100_000
 # largest balance residual and negative mass a stationary vector may carry
@@ -33,12 +33,11 @@ DEFAULT_GRID = tuple(sorted(set(
 
 @dataclass(frozen=True)
 class ExplicitChain:
-    """Sparse (CSR) one-step transition matrix with its state index."""
+    """Sparse (CSR) one-step transition matrix and each stage's head row."""
 
-    index: dict
     matrix: object
     n_states: int
-    m: int
+    heads: tuple
 
 
 def raw_sector(p_h, p_h_prime, p_f, n_k=2):
@@ -56,7 +55,8 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     The busy probability ``p_b`` defaults to the collision probability p,
     the identity that holds at every fixed point.  Stage i holds the rows
     base_i .. base_i + 2 w_i - 2: its head (i, 0, 0), its counters
-    (i, j, 0), then their twins.  The CSR arrays are written directly,
+    (i, j, 0) for j = 1 .. w_i - 1, then their twins (i, j, -1) in the same
+    order; ``heads[i]`` is base_i.  The CSR arrays are written directly,
     each row's columns in ascending order.
     """
     import numpy as np
@@ -69,13 +69,6 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
             f"chain would need {n_states} states (limit {MAX_STATES}); "
             f"use the closed form for parameters this large"
         )
-    index = {}
-    for i, w in enumerate(widths):
-        for j in range(w):
-            index[(i, j, 0)] = len(index)
-        for j in range(1, w):
-            index[(i, j, -1)] = len(index)
-
     if p_b is None:
         p_b = p
     p_h, p_h_prime, p_f = sector.p_h, sector.p_h_prime, sector.p_f
@@ -85,9 +78,11 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     lengths = np.empty(n_states, dtype=np.int32)
     indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz)
+    heads = []
     base = at = 0
     for i, w in enumerate(widths):
         k = w - 1
+        heads.append(base)
         lengths[base] = head_lengths[i]
         lengths[base + 1:base + w] = 3
         lengths[base + w:base + w + k] = 2
@@ -131,7 +126,7 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     if np.max(np.abs(sums - 1.0)) > 1e-12:
         raise OracleError("transition matrix rows do not sum to 1")
     matrix = csr_array((data, indices, indptr), shape=(n_states, n_states))
-    return ExplicitChain(index=index, matrix=matrix, n_states=n_states, m=m)
+    return ExplicitChain(matrix=matrix, n_states=n_states, heads=tuple(heads))
 
 
 def stationary_distribution(chain, method="auto"):
@@ -141,7 +136,7 @@ def stationary_distribution(chain, method="auto"):
     state 0 replaced by pi_0 = 1, then normalized.  Pinning one state keeps
     the LU as sparse as P; a row of ones would fill it in.  ``method`` is
     "auto" or "direct", both meaning this solve.  ``chain.matrix`` may be
-    any scipy sparse format.
+    any scipy sparse format.  Returns the mass vector in row order.
     """
     import numpy as np
     from scipy.sparse import csc_array
@@ -183,9 +178,7 @@ def stationary_distribution(chain, method="auto"):
         raise OracleError(f"stationary residual {residual} exceeds {STATIONARY_TOL}")
     if np.min(pi) < -STATIONARY_TOL:
         raise OracleError(f"stationary vector has negative mass {np.min(pi)}")
-    mass = pi.tolist()
-    entries = {state: mass[row] for state, row in chain.index.items()}
-    return SteadyStateVector(m=chain.m, entries=entries)
+    return pi
 
 
 def validation_report(grid=DEFAULT_GRID):
@@ -203,11 +196,11 @@ def validation_report(grid=DEFAULT_GRID):
             b_closed = b000_closed_form(p, w0, m, eta, eta_prime)
             tau_closed = tau_of(p, b_closed, m)
             chain = build_chain(p, sector, w0, m)
-            vec = stationary_distribution(chain)
+            pi = stationary_distribution(chain)
         except AdmacError as exc:
             raise type(exc)(f"grid point {point}: {exc}") from exc
-        b_oracle = vec.entries[(0, 0, 0)]
-        tau_oracle = vec.head_mass()
+        b_oracle = float(pi[chain.heads[0]])
+        tau_oracle = sum(float(pi[h]) for h in chain.heads)
         rows.append({
             "w0": w0, "m": m, "p": p,
             "p_h": p_h, "p_h_prime": p_h_prime, "p_f": p_f,

@@ -45,21 +45,6 @@ class FixedPointSolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class SteadyStateVector:
-    """Stationary probabilities keyed by (stage, counter, flag)."""
-
-    m: int
-    entries: dict
-
-    def total(self):
-        return sum(self.entries.values())
-
-    def head_mass(self):
-        """Probability of being in any transmit state (i, 0, 0)."""
-        return sum(self.entries[(i, 0, 0)] for i in range(self.m + 1))
-
-
 def eta_terms(p_b, p_f, p_h, p_h_prime):
     """Holding factors for counter states and their suspended twins.
 
@@ -189,6 +174,7 @@ def steady_state_vector(sol, sector, w0, m, window_rule="doubling"):
     stage inflow, divided by the slot-advance probability that matches the
     column (ordinary vs deferral-prone); suspended twins carry the
     boundary-hit share of that mass spread over the geometric return time.
+    Returns the probabilities keyed by (stage, counter, flag).
     """
     widths = window_sizes(w0, m, window_rule)
     p, b000 = sol.p, sol.b000
@@ -202,13 +188,12 @@ def steady_state_vector(sol, sector, w0, m, window_rule="doubling"):
             mass = inflow * (w - j) / w / advance
             entries[(i, j, 0)] = mass
             entries[(i, j, -1)] = mass * column / (1.0 - sector.p_f)
-    vec = SteadyStateVector(m=m, entries=entries)
-    total = vec.total()
+    total = sum(entries.values())
     if abs(total - 1.0) > 1e-9:
         raise InternalConsistencyError(
             f"steady-state vector sums to {total}, expected 1"
         )
-    return vec
+    return entries
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,21 @@ def tau_hat(stats, n_k, sector=0):
     return stats.attempts[sector] / (n_k * steps)
 
 
+def chain_states(widths):
+    """States of the explicit chain in row order, one stage after another.
+
+    Stage i of window width w contributes its head (i, 0, 0), its counters
+    (i, j, 0) for j = 1 .. w - 1, then their suspended twins (i, j, -1) in
+    the same order.
+    """
+    states = []
+    for i, w in enumerate(widths):
+        states.append((i, 0, 0))
+        states.extend((i, j, 0) for j in range(1, w))
+        states.extend((i, j, -1) for j in range(1, w))
+    return states
+
+
 class SimBank:
     """Cache of 10-seed, 200-BI runs keyed by (w0, n, cbap_fraction, q)."""
 

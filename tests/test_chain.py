@@ -1,5 +1,7 @@
 """Explicit-chain oracle: construction, stationary solve, validation grid."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
@@ -9,7 +11,8 @@ from admac import (ExplicitChain, OracleError, OracleSizeError,
                    b000_closed_form, build_chain, derive_sector_models,
                    derive_timings, eta_terms, make_params, raw_sector,
                    solve_fixed_point, stationary_distribution, tau_of,
-                   validation_report)
+                   validation_report, window_sizes)
+from conftest import chain_states
 
 
 def dense_stationary(chain):
@@ -18,8 +21,17 @@ def dense_stationary(chain):
     a[-1, :] = 1.0
     b = np.zeros(chain.n_states)
     b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    return {state: pi[row] for state, row in chain.index.items()}
+    return np.linalg.solve(a, b)
+
+
+def state_masses(pi, w0, m):
+    """Solved vector keyed by (stage, counter, flag) under doubling windows."""
+    return dict(zip(chain_states(window_sizes(w0, m)), pi, strict=True))
+
+
+def transmit_mass(masses, m):
+    """Probability of being in any transmit state (i, 0, 0)."""
+    return sum(masses[(i, 0, 0)] for i in range(m + 1))
 
 
 def test_rows_sum_to_one():
@@ -32,7 +44,8 @@ def test_state_count():
     chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 2)
     # widths 4, 8, 16: each stage has 2w - 1 states
     assert chain.n_states == 7 + 15 + 31
-    assert len(chain.index) == chain.n_states
+    assert len(chain_states(window_sizes(4, 2))) == chain.n_states
+    assert chain.heads == (0, 7, 22)
 
 
 def test_smallest_chain_hand_solution():
@@ -41,10 +54,10 @@ def test_smallest_chain_hand_solution():
     for p, p_b in ((0.3, 0.3), (0.3, 0.6), (0.0, 0.0)):
         chain = build_chain(p, raw_sector(0.0, 0.0, 0.37), 2, 0, p_b=p_b)
         assert chain.n_states == 3
-        vec = stationary_distribution(chain)
+        masses = state_masses(stationary_distribution(chain), 2, 0)
         expected = 1.0 / (1.0 + (1.0 - p) / (2.0 * (1.0 - p_b)))
-        assert vec.entries[(0, 0, 0)] == pytest.approx(expected, rel=1e-12)
-        assert vec.entries[(0, 1, -1)] == pytest.approx(0.0, abs=1e-15)
+        assert masses[(0, 0, 0)] == pytest.approx(expected, rel=1e-12)
+        assert masses[(0, 1, -1)] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_closed_form_matches_oracle_spot_check():
@@ -52,8 +65,9 @@ def test_closed_form_matches_oracle_spot_check():
     sector = raw_sector(0.01, 0.05, 0.6)
     eta, eta_prime = eta_terms(p, 0.6, 0.01, 0.05)
     closed = b000_closed_form(p, w0, m, eta, eta_prime)
-    vec = stationary_distribution(build_chain(p, sector, w0, m))
-    assert closed == pytest.approx(vec.entries[(0, 0, 0)], rel=1e-8)
+    masses = state_masses(
+        stationary_distribution(build_chain(p, sector, w0, m)), w0, m)
+    assert closed == pytest.approx(masses[(0, 0, 0)], rel=1e-8)
 
 
 def test_closed_form_matches_oracle_with_decoupled_busy_probability():
@@ -62,32 +76,34 @@ def test_closed_form_matches_oracle_with_decoupled_busy_probability():
     sector = raw_sector(1e-4, 2e-3, 0.6)
     eta, eta_prime = eta_terms(p_b, 0.6, 1e-4, 2e-3)
     closed = b000_closed_form(p, w0, m, eta, eta_prime)
-    vec = stationary_distribution(build_chain(p, sector, w0, m, p_b=p_b))
-    assert closed == pytest.approx(vec.entries[(0, 0, 0)], rel=1e-8)
-    assert tau_of(p, closed, m) == pytest.approx(vec.head_mass(), rel=1e-8)
+    masses = state_masses(
+        stationary_distribution(build_chain(p, sector, w0, m, p_b=p_b)), w0, m)
+    assert closed == pytest.approx(masses[(0, 0, 0)], rel=1e-8)
+    assert tau_of(p, closed, m) == pytest.approx(transmit_mass(masses, m),
+                                                 rel=1e-8)
 
 
 def test_two_state_symmetric_chain_is_uniform():
     matrix = csr_array([[0.7, 0.3], [0.3, 0.7]])
-    chain = ExplicitChain(index={(0, 0, 0): 0, (0, 1, 0): 1}, matrix=matrix,
-                          n_states=2, m=0)
-    vec = stationary_distribution(chain)
-    assert vec.entries[(0, 0, 0)] == pytest.approx(0.5, rel=1e-12)
-    assert vec.entries[(0, 1, 0)] == pytest.approx(0.5, rel=1e-12)
+    chain = ExplicitChain(matrix=matrix, n_states=2, heads=(0,))
+    pi = stationary_distribution(chain)
+    assert pi[0] == pytest.approx(0.5, rel=1e-12)
+    assert pi[1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_sparse_solve_agrees_with_dense_solve():
     chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 1)
     sparse = stationary_distribution(chain, method="direct")
     dense = dense_stationary(chain)
-    worst = max(abs(sparse.entries[s] - dense[s]) for s in dense)
+    assert sparse.shape == dense.shape
+    worst = np.max(np.abs(sparse - dense))
     assert worst <= 1e-10
 
 
 def test_stationary_method_accepts_only_the_direct_solve():
     chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 1)
-    assert (stationary_distribution(chain, method="auto").entries
-            == stationary_distribution(chain, method="direct").entries)
+    assert np.array_equal(stationary_distribution(chain, method="auto"),
+                          stationary_distribution(chain, method="direct"))
     with pytest.raises(OracleError):
         stationary_distribution(chain, method="power")
 
@@ -122,7 +138,8 @@ def small_chains(draw):
 def test_sparse_solve_matches_dense_on_random_chains(chain):
     sparse = stationary_distribution(chain)
     dense = dense_stationary(chain)
-    worst = max(abs(sparse.entries[s] - dense[s]) for s in dense)
+    assert sparse.shape == dense.shape
+    worst = np.max(np.abs(sparse - dense))
     assert worst <= 1e-12
 
 
@@ -139,21 +156,42 @@ def test_closed_form_matches_oracle_at_operating_points(w0, n):
     closed = b000_closed_form(p, w0, m, eta, eta_prime)
     chain = build_chain(p, sector, w0, m)
     assert chain.n_states == sum(2 * (2 ** i) * w0 - 1 for i in range(m + 1))
-    vec = stationary_distribution(chain)
-    assert closed == pytest.approx(vec.entries[(0, 0, 0)], rel=1e-8)
-    assert tau_of(p, closed, m) == pytest.approx(vec.head_mass(), rel=1e-8)
+    masses = state_masses(stationary_distribution(chain), w0, m)
+    assert closed == pytest.approx(masses[(0, 0, 0)], rel=1e-8)
+    assert tau_of(p, closed, m) == pytest.approx(transmit_mass(masses, m),
+                                                 rel=1e-8)
+
+
+def test_validation_report_bytes_are_pinned_at_operating_points():
+    # the repr of every oracle and closed-form value at the six points
+    # above, so that a change to the chain's build or solve that moves a
+    # single bit of b000 or tau shows
+    points = []
+    for n in (10, 50):
+        for w0 in (7, 15, 31):
+            params = make_params(n=n, w0=w0, m=5, bi_slots=20000,
+                                 cbap_slots=8000)
+            sector = derive_sector_models(params, derive_timings(params))[0]
+            p = solve_fixed_point(sector, w0, 5).p
+            points.append((w0, 5, p, sector.p_h, sector.p_h_prime,
+                           sector.p_f))
+    columns = ("b000_closed", "b000_oracle", "tau_closed", "tau_oracle")
+    text = "".join(",".join(repr(row[c]) for c in columns) + "\n"
+                   for row in validation_report(points))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "af229228b40b5ba66304e545e97db7f67550a4a9eeb10a1edd1bffadc15adcbe")
 
 
 def test_no_return_path_leaves_one_step_suspension_mass():
     # with p_f = 0 a suspended state is left immediately, so its mass is
     # exactly the one-step inflow p_h * b(i, j, 0)
     chain = build_chain(0.3, raw_sector(0.02, 0.1, 0.0), 4, 1)
-    vec = stationary_distribution(chain)
-    for (i, j, h), mass in vec.entries.items():
+    masses = state_masses(stationary_distribution(chain), 4, 1)
+    for (i, j, h), mass in masses.items():
         if h != -1:
             continue
         p_col = 0.1 if j == 1 else 0.02
-        assert mass == pytest.approx(p_col * vec.entries[(i, j, 0)],
+        assert mass == pytest.approx(p_col * masses[(i, j, 0)],
                                      rel=1e-10, abs=1e-15)
 
 

@@ -12,6 +12,7 @@ from admac import (AdmacError, InfeasibleModelError, b000_closed_form,
                    window_sizes)
 from admac import markov
 from admac.markov import _after_collision, _packet_cycle, _zero_share
+from conftest import chain_states
 
 
 def test_eta_terms_degenerate_case():
@@ -72,7 +73,7 @@ def test_b000_at_one_half_matches_oracle():
     eta, eta_prime = eta_terms(p, 0.6, 0.01, 0.05)
     closed = b000_closed_form(p, 4, 3, eta, eta_prime)
     chain = build_chain(p, raw_sector(0.01, 0.05, 0.6), 4, 3)
-    oracle = stationary_distribution(chain).entries[(0, 0, 0)]
+    oracle = stationary_distribution(chain)[chain.heads[0]]
     assert closed == pytest.approx(oracle, rel=1e-10)
 
 
@@ -204,32 +205,37 @@ def test_steady_state_vector_structure():
     sector = raw_sector(1e-4, 1.4e-3, 0.6, n_k=10)
     sol = solve_fixed_point(sector, 7, 5)
     vec = steady_state_vector(sol, sector, 7, 5)
-    assert vec.total() == pytest.approx(1.0, abs=1e-9)
-    assert vec.head_mass() == pytest.approx(sol.tau, rel=1e-9)
+    assert sum(vec.values()) == pytest.approx(1.0, abs=1e-9)
+    transmit_mass = sum(vec[(i, 0, 0)] for i in range(6))
+    assert transmit_mass == pytest.approx(sol.tau, rel=1e-9)
     for i in range(6):
-        assert vec.entries[(i, 0, 0)] == pytest.approx(
+        assert vec[(i, 0, 0)] == pytest.approx(
             sol.p ** i * sol.b000, rel=1e-12)
-    assert all(v >= 0.0 for v in vec.entries.values())
+    assert all(v >= 0.0 for v in vec.values())
 
 
 def test_steady_state_vector_no_collisions_all_mass_in_stage_zero():
     sector = raw_sector(1e-4, 1.4e-3, 0.6, n_k=1)
     sol = solve_fixed_point(sector, 7, 5)
     vec = steady_state_vector(sol, sector, 7, 5)
-    upper = sum(v for (i, _, _), v in vec.entries.items() if i > 0)
+    upper = sum(v for (i, _, _), v in vec.items() if i > 0)
     assert upper == 0.0
 
 
 def test_steady_state_vector_matches_oracle_entrywise():
+    # the oracle's rows are keyed by the row order conftest documents, so
+    # this also checks build_chain's layout against the closed form
     sector = raw_sector(0.01, 0.05, 0.6, n_k=8)
     w0, m = 4, 2
-    sol = solve_fixed_point(sector, w0, m)
-    vec = steady_state_vector(sol, sector, w0, m)
-    chain = build_chain(sol.p, sector, w0, m)
-    oracle = stationary_distribution(chain)
-    assert set(vec.entries) == set(oracle.entries)
-    worst = max(abs(vec.entries[s] - oracle.entries[s]) for s in vec.entries)
-    assert worst <= 1e-9
+    for rule in ("doubling", "doubling-minus-one"):
+        sol = solve_fixed_point(sector, w0, m, window_rule=rule)
+        vec = steady_state_vector(sol, sector, w0, m, window_rule=rule)
+        chain = build_chain(sol.p, sector, w0, m, window_rule=rule)
+        states = chain_states(window_sizes(w0, m, rule))
+        oracle = dict(zip(states, stationary_distribution(chain), strict=True))
+        assert set(vec) == set(oracle)
+        worst = max(abs(vec[s] - oracle[s]) for s in vec)
+        assert worst <= 1e-9, rule
 
 
 # --- idle-slot coupling ---
