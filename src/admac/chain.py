@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .config import SectorModel, window_sizes
 from .errors import AdmacError, OracleError, OracleSizeError
 from .markov import b000_closed_form, eta_terms, tau_of
+from .numeric import left_sum
 
 MAX_STATES = 100_000
 # largest balance residual and negative mass a stationary vector may carry
@@ -200,7 +201,7 @@ def validation_report(grid=DEFAULT_GRID):
         except AdmacError as exc:
             raise type(exc)(f"grid point {point}: {exc}") from exc
         b_oracle = float(pi[chain.heads[0]])
-        tau_oracle = sum(float(pi[h]) for h in chain.heads)
+        tau_oracle = left_sum(float(pi[h]) for h in chain.heads)
         rows.append({
             "w0": w0, "m": m, "p": p,
             "p_h": p_h, "p_h_prime": p_h_prime, "p_f": p_f,

@@ -30,6 +30,7 @@ from .config import (ModelParams, derive_timings, make_params, open_text,
                      parse_config_file, read_lines)
 from .errors import AdmacError, ConfigError, ValidationError
 from .metrics import analyze
+from .numeric import left_sum
 
 BASE_COLUMNS = (
     "config_hash", "seed", "n", "q", "w0", "m", "cbap_fraction",
@@ -335,7 +336,7 @@ def _check_same_configs(args, analytic, simulated, a_conf, s_conf):
 
 def _mean_of(rows, column):
     values = [r[column] for r in rows if r[column] is not None]
-    return sum(values) / len(values) if values else None
+    return left_sum(values) / len(values) if values else None
 
 
 def _cmd_compare(args):

@@ -26,6 +26,7 @@ from operator import mul
 
 from .config import window_sizes
 from .errors import InfeasibleModelError, InternalConsistencyError
+from .numeric import left_sum
 
 TAU_EPS = 1e-12
 PB_MARGIN = 1e-9
@@ -95,7 +96,7 @@ def b000_closed_form(p, w0, m, eta, eta_prime, window_rule="doubling"):
 
 def tau_of(p, b000, m):
     """Per-slot attempt probability: total mass of the transmit states."""
-    return b000 * sum(p ** i for i in range(m + 1))
+    return b000 * left_sum(p ** i for i in range(m + 1))
 
 
 def collision_probability(tau, n_k):
@@ -188,7 +189,7 @@ def steady_state_vector(sol, sector, w0, m, window_rule="doubling"):
             mass = inflow * (w - j) / w / advance
             entries[(i, j, 0)] = mass
             entries[(i, j, -1)] = mass * column / (1.0 - sector.p_f)
-    total = sum(entries.values())
+    total = left_sum(entries.values())
     if abs(total - 1.0) > 1e-9:
         raise InternalConsistencyError(
             f"steady-state vector sums to {total}, expected 1"
@@ -255,8 +256,8 @@ def _stage_walk(p_idle, p_zero, widths):
     """Collision odds of an attempt at each stage, and the reach of each stage.
 
     Returns the drop probability, the per-stage collision odds and the
-    chance that a packet reaches each stage.  Shared by ``_packet_cycle``
-    and ``_zero_share`` so that both see the same floats.
+    chance that a packet reaches each stage.  ``_coupled_cycle`` repeats
+    these floats in its own loop.
     """
     head = p_idle * (widths[0] - 1) / widths[0]
     stage_p = [p_idle * (w - 1) / w + p_zero / w for w in widths]
@@ -272,17 +273,11 @@ def _share_after_collision(stage_p, reach, widths):
     """Chance that a station leaving a collision transmits again at once."""
     collided = list(map(mul, reach, stage_p))
     zero_next = [1.0 / w for w in widths[1:]] + [1.0]
-    total_collided = sum(collided)
+    total_collided = left_sum(collided)
     return (
-        sum(map(mul, collided, zero_next)) / total_collided
+        left_sum(map(mul, collided, zero_next)) / total_collided
         if total_collided > 0.0 else 0.0
     )
-
-
-def _zero_share(p_idle, p_zero, widths):
-    """``_packet_cycle(p_idle, p_zero, widths).zero_share``, and nothing else."""
-    _, stage_p, reach = _stage_walk(p_idle, p_zero, widths)
-    return _share_after_collision(stage_p, reach, widths)
 
 
 def _packet_cycle(p_idle, p_zero, widths):
@@ -299,11 +294,11 @@ def _packet_cycle(p_idle, p_zero, widths):
     fresh = [1.0 - drop] + reach[1:]
     return _PacketCycle(
         drop_prob=drop,
-        attempts=sum(reach),
-        idle_attempts=sum(f * (w - 1) / w for f, w in zip(fresh, widths)),
-        zero_after_collision=drop + sum(
+        attempts=left_sum(reach),
+        idle_attempts=left_sum(f * (w - 1) / w for f, w in zip(fresh, widths)),
+        zero_after_collision=drop + left_sum(
             r / w for r, w in zip(reach[1:], widths[1:])),
-        decrements=sum(f * (w - 1) / 2.0 for f, w in zip(fresh, widths)),
+        decrements=left_sum(f * (w - 1) / 2.0 for f, w in zip(fresh, widths)),
         zero_share=_share_after_collision(stage_p, reach, widths),
     )
 
@@ -339,11 +334,31 @@ def _after_collision(alpha, n_k):
 
 
 def _coupled_cycle(alpha, n_k, widths):
-    """Packet cycle at ``alpha`` with the after-collision odds made consistent."""
+    """Packet cycle at ``alpha`` with the after-collision odds made consistent.
+
+    Each pass takes ``_packet_cycle(p_idle, p_zero, widths).zero_share`` in
+    one loop, with the float operations of ``_stage_walk`` and
+    ``_share_after_collision`` in their order; the terms that depend on
+    ``p_idle`` alone are taken once, before the first pass.
+    """
     p_idle, odds = _after_collision(alpha, n_k)
+    head = p_idle * (widths[0] - 1) / widths[0]
+    upper_terms = [(p_idle * (w - 1) / w, w) for w in widths[1:]]
+    zero_next = [1.0 / w for w in widths[1:]] + [1.0]
+    first_next, later_next = zero_next[0], zero_next[1:]
     p_zero = 0.0
     for _ in range(MAX_ITER):
-        nxt = odds(_zero_share(p_idle, p_zero, widths))
+        stage_p = [idle + p_zero / w for idle, w in upper_terms]
+        upper = math.prod(stage_p)
+        drop = head * upper / (1.0 - (p_zero - head) * upper)
+        # collided attempts per stage: reach times odds, a running product
+        collided = head * (1.0 - drop) + p_zero * drop
+        total, weighted = collided, collided * first_next
+        for odds_i, next_i in zip(stage_p, later_next):
+            collided *= odds_i
+            total += collided
+            weighted += collided * next_i
+        nxt = odds(weighted / total if total > 0.0 else 0.0)
         if abs(nxt - p_zero) <= ZERO_ODDS_TOL:
             return p_idle, nxt, _packet_cycle(p_idle, nxt, widths)
         p_zero = nxt

@@ -14,6 +14,7 @@ from .config import (derive_sector_models, derive_timings, slot_quantized,
                      window_sizes)
 from .errors import InfeasibleModelError
 from .markov import solve_idle_slot_coupling
+from .numeric import left_sum
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ def aggregate_utilization(per_sector):
         raise InfeasibleModelError("aggregate needs positive service periods")
     if len(per_sector) == 1:
         return per_sector[0][0]  # u * c / c can be one ulp off u
-    return sum(u * c for u, c in per_sector) / total
+    return left_sum(u * c for u, c in per_sector) / total
 
 
 def sigma_avg(sp, timings, sector, params):
@@ -142,8 +143,8 @@ def analyze(params):
         per_sector_u=tuple(us),
         aggregate_u=aggregate_utilization(list(zip(us, weights))),
         per_sector_delay=tuple(delays),
-        mean_delay=sum(d * c for d, c in zip(delays, weights)) / total,
+        mean_delay=left_sum(d * c for d, c in zip(delays, weights)) / total,
         per_sector_drop_prob=tuple(drops),
-        drop_prob=sum(d * c for d, c in zip(drops, weights)) / total,
+        drop_prob=left_sum(d * c for d, c in zip(drops, weights)) / total,
         diagnostics=tuple(sols),
     )

@@ -1,8 +1,10 @@
 """CLI harness: subcommands, CSV schema, precedence, and exit codes."""
 
+import builtins
 import concurrent.futures
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -161,24 +163,70 @@ def test_non_finite_config_values_are_config_errors(line, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+SOLVE_DIGEST = (
+    "2ce18c3bf871d01deed8d30b9325ff7b88cfe699d355348d9bc60e4be3cc0853")
+
+
 def test_solve_stdout_bytes_are_pinned(capsys):
     # a refactor leaves these bytes as they are; a deliberate change of the
     # model's numbers re-pins the digest
     assert main(["solve", "--n", "10", "--cbap-fraction", "0.4"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == (
-        "2ce18c3bf871d01deed8d30b9325ff7b88cfe699d355348d9bc60e4be3cc0853")
+    assert hashlib.sha256(out).hexdigest() == SOLVE_DIGEST
 
 
 THREE_SECTORS = ["--n", "7", "--q", "3", "--cbap-fraction", "0.5"]
+THREE_SECTORS_DIGEST = (
+    "1458d24c49e3fa54d644e2e15ae492df6e7b7902dba7cfd4b1aaac14a82d7d7b")
 
 
 def test_multi_sector_solve_stdout_bytes_are_pinned(capsys):
     # pins the service-period weighting of the delay and drop across sectors
     assert main(["solve", *THREE_SECTORS]) == 0
     out = capsys.readouterr().out.encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == (
-        "1458d24c49e3fa54d644e2e15ae492df6e7b7902dba7cfd4b1aaac14a82d7d7b")
+    assert hashlib.sha256(out).hexdigest() == THREE_SECTORS_DIGEST
+
+
+def compensated_sum(values):
+    """``sum`` as Python 3.12 and later run it: a float total carries the
+    rounding error of each addition (Neumaier) and adds it at the end."""
+    items = iter(values)
+    total = 0
+    for item in items:
+        total = total + item
+        if isinstance(total, float):
+            break
+    else:
+        return total
+    error = 0.0
+    for item in items:
+        if not isinstance(item, float):
+            total += item
+            continue
+        added = total + item
+        if abs(total) >= abs(item):
+            error += (total - added) + item
+        else:
+            error += (item - added) + total
+        total = added
+    return total + error if error and math.isfinite(error) else total
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "10", "--cbap-fraction", "0.4"], SOLVE_DIGEST),
+    (THREE_SECTORS, THREE_SECTORS_DIGEST),
+    # u reads 0.2707226255738779, and ...83 where sum compensates
+    (["--n", "50", "--cbap-fraction", "0.4"],
+     "5c0b2923442cb66d51bb7301303ebadcd488a3e7e862ffdf5d09c60028d81b93"),
+], ids=["one-sector", "three-sectors", "fifty-stations"])
+def test_solve_bytes_do_not_follow_the_pythons_float_sum(
+        argv, digest, monkeypatch, capsys):
+    # the numbers print the same bytes on every supported Python, though
+    # ``sum`` compensates float rounding from 3.12 on
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert main(["solve", *argv]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_solve_row_prints_the_reports_network_values(tmp_path):

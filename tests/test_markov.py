@@ -1,6 +1,7 @@
 """Closed-form normalization, fixed point, and steady-state vector."""
 
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -11,7 +12,8 @@ from admac import (AdmacError, InfeasibleModelError, b000_closed_form,
                    stationary_distribution, steady_state_vector, tau_of,
                    window_sizes)
 from admac import markov
-from admac.markov import _after_collision, _packet_cycle, _zero_share
+from admac.markov import (_after_collision, _coupled_cycle, _packet_cycle,
+                          _share_after_collision, _stage_walk)
 from conftest import chain_states
 
 
@@ -344,19 +346,57 @@ def test_coupling_is_a_valid_operating_point_or_a_model_error(n_k, w0, m, rule):
     assert abs(st.po_idle + st.po_suc + st.po_col - 1.0) <= 1e-12
 
 
+def coupled_cycle_by_composition(alpha, n_k, widths, shares):
+    """The after-collision loop of ``_coupled_cycle`` as the composition of
+    the packet-cycle steps; appends the zero share of each pass to
+    ``shares``."""
+    p_idle, odds = _after_collision(alpha, n_k)
+    p_zero = 0.0
+    for _ in range(markov.MAX_ITER):
+        _, stage_p, reach = _stage_walk(p_idle, p_zero, widths)
+        shares.append(_share_after_collision(stage_p, reach, widths))
+        nxt = odds(shares[-1])
+        if abs(nxt - p_zero) <= markov.ZERO_ODDS_TOL:
+            return p_idle, nxt, _packet_cycle(p_idle, nxt, widths)
+        p_zero = nxt
+    raise InfeasibleModelError("the composition did not settle")
+
+
+def recording_after_collision(shares):
+    """``_after_collision`` whose odds append each zero share to ``shares``."""
+    def after_collision(alpha, n_k):
+        p_idle, odds = _after_collision(alpha, n_k)
+
+        def recorded(zero_share):
+            shares.append(zero_share)
+            return odds(zero_share)
+        return p_idle, recorded
+    return after_collision
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(p_idle=strategies.floats(0.0, 1.0), p_zero=strategies.floats(0.0, 1.0),
-       w0=strategies.integers(2, 64), m=strategies.integers(0, 7),
+@given(alpha=strategies.floats(markov.TAU_EPS, 1.0 - markov.TAU_EPS),
+       n_k=strategies.integers(2, 200), w0=strategies.integers(2, 64),
+       m=strategies.integers(1, 7),
        rule=strategies.sampled_from(("doubling", "doubling-minus-one")))
-def test_zero_share_equals_the_packet_cycle_float(p_idle, p_zero, w0, m, rule):
+def test_coupled_cycle_equals_the_packet_cycle_composition(alpha, n_k, w0, m,
+                                                           rule):
+    # the one-pass loop repeats the floats of _stage_walk and
+    # _share_after_collision: the same zero share on every pass, and the
+    # same result
     widths = window_sizes(w0, m, rule)
+    want, got = [], []
+    recording = mock.patch.object(markov, "_after_collision",
+                                  recording_after_collision(got))
     try:
-        cycle = _packet_cycle(p_idle, p_zero, widths)
-    except ZeroDivisionError:  # every attempt collides and none is dropped
-        with pytest.raises(ZeroDivisionError):
-            _zero_share(p_idle, p_zero, widths)
-        return
-    assert _zero_share(p_idle, p_zero, widths) == cycle.zero_share
+        expected = coupled_cycle_by_composition(alpha, n_k, widths, want)
+    except (InfeasibleModelError, ZeroDivisionError) as exc:
+        with recording, pytest.raises(type(exc)):
+            _coupled_cycle(alpha, n_k, widths)
+    else:
+        with recording:
+            assert repr(_coupled_cycle(alpha, n_k, widths)) == repr(expected)
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("alpha, n_k, zero_share", [
