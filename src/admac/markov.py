@@ -280,6 +280,18 @@ def _share_after_collision(stage_p, reach, widths):
     )
 
 
+def _idle_rate_terms(p_idle, p_zero, widths):
+    """Attempts after idle slots and counter decrements of one packet.
+
+    Their ratio is the idle-slot rate the coupling bisects on;
+    ``_packet_cycle`` reports the same two floats.
+    """
+    drop, _, reach = _stage_walk(p_idle, p_zero, widths)
+    fresh = [1.0 - drop] + reach[1:]
+    return (left_sum(f * (w - 1) / w for f, w in zip(fresh, widths)),
+            left_sum(f * (w - 1) / 2.0 for f, w in zip(fresh, widths)))
+
+
 def _packet_cycle(p_idle, p_zero, widths):
     """Walk one packet through the stages.
 
@@ -291,14 +303,14 @@ def _packet_cycle(p_idle, p_zero, widths):
     station leaving a collision transmits again at once.
     """
     drop, stage_p, reach = _stage_walk(p_idle, p_zero, widths)
-    fresh = [1.0 - drop] + reach[1:]
+    idle_attempts, decrements = _idle_rate_terms(p_idle, p_zero, widths)
     return _PacketCycle(
         drop_prob=drop,
         attempts=left_sum(reach),
-        idle_attempts=left_sum(f * (w - 1) / w for f, w in zip(fresh, widths)),
+        idle_attempts=idle_attempts,
         zero_after_collision=drop + left_sum(
             r / w for r, w in zip(reach[1:], widths[1:])),
-        decrements=left_sum(f * (w - 1) / 2.0 for f, w in zip(fresh, widths)),
+        decrements=decrements,
         zero_share=_share_after_collision(stage_p, reach, widths),
     )
 
@@ -334,7 +346,7 @@ def _after_collision(alpha, n_k):
 
 
 def _coupled_cycle(alpha, n_k, widths):
-    """Packet cycle at ``alpha`` with the after-collision odds made consistent.
+    """The after-idle and after-collision odds at ``alpha``, made consistent.
 
     Each pass takes ``_packet_cycle(p_idle, p_zero, widths).zero_share`` in
     one loop, with the float operations of ``_stage_walk`` and
@@ -360,7 +372,7 @@ def _coupled_cycle(alpha, n_k, widths):
             weighted += collided * next_i
         nxt = odds(weighted / total if total > 0.0 else 0.0)
         if abs(nxt - p_zero) <= ZERO_ODDS_TOL:
-            return p_idle, nxt, _packet_cycle(p_idle, nxt, widths)
+            return p_idle, nxt
         p_zero = nxt
     raise InfeasibleModelError(
         f"after-collision odds did not settle at alpha={alpha:.6g}"
@@ -438,10 +450,11 @@ def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling"):
         )
 
     def residual(alpha):
-        p_idle, p_zero, cycle = _coupled_cycle(alpha, n_k, widths)
-        g = cycle.idle_attempts / cycle.decrements - alpha
-        return g, p_idle, p_zero, cycle
+        p_idle, p_zero = _coupled_cycle(alpha, n_k, widths)
+        idle_attempts, decrements = _idle_rate_terms(p_idle, p_zero, widths)
+        return idle_attempts / decrements - alpha, p_idle, p_zero
 
-    alpha, iterations, (g, p_idle, p_zero, cycle) = _bisect(
+    alpha, iterations, (g, p_idle, p_zero) = _bisect(
         residual, TAU_EPS, 1.0 - TAU_EPS, "idle-slot coupling")
+    cycle = _packet_cycle(p_idle, p_zero, widths)
     return _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, abs(g))

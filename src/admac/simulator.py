@@ -34,8 +34,8 @@ from .config import derive_sector_models, window_sizes
 from .errors import ConfigError
 from .metrics import PerformanceReport, aggregate_utilization
 
-# doubles per station: a first chunk, which a short run seldom outgrows,
-# then refills
+# doubles per station: a first chunk, then each chunk twice the last up to
+# a cap, so a station that draws d doubles generates at most 2d + 64
 _FIRST_DRAWS = 64
 _REFILL_DRAWS = 512
 MAX_STATIONS = 1 << 20  # stream key (seed << 20) + station id stays unique
@@ -67,7 +67,7 @@ def _streams(seed, station_ids):
             bitgen.state = state
             yield random(size).tolist()
             taken += size
-            size = _REFILL_DRAWS
+            size = min(2 * size, _REFILL_DRAWS)
 
     return [chain.from_iterable(chunks((seed << 20) + sid)).__next__
             for sid in station_ids]

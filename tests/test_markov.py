@@ -12,8 +12,8 @@ from admac import (AdmacError, InfeasibleModelError, b000_closed_form,
                    stationary_distribution, steady_state_vector, tau_of,
                    window_sizes)
 from admac import markov
-from admac.markov import (_after_collision, _coupled_cycle, _packet_cycle,
-                          _share_after_collision, _stage_walk)
+from admac.markov import (_after_collision, _coupled_cycle, _idle_rate_terms,
+                          _packet_cycle, _share_after_collision, _stage_walk)
 from conftest import chain_states
 
 
@@ -357,7 +357,7 @@ def coupled_cycle_by_composition(alpha, n_k, widths, shares):
         shares.append(_share_after_collision(stage_p, reach, widths))
         nxt = odds(shares[-1])
         if abs(nxt - p_zero) <= markov.ZERO_ODDS_TOL:
-            return p_idle, nxt, _packet_cycle(p_idle, nxt, widths)
+            return p_idle, nxt
         p_zero = nxt
     raise InfeasibleModelError("the composition did not settle")
 
@@ -374,16 +374,20 @@ def recording_after_collision(shares):
     return after_collision
 
 
+coupling_cases = dict(
+    alpha=strategies.floats(markov.TAU_EPS, 1.0 - markov.TAU_EPS),
+    n_k=strategies.integers(2, 200), w0=strategies.integers(2, 64),
+    m=strategies.integers(1, 7),
+    rule=strategies.sampled_from(("doubling", "doubling-minus-one")))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(alpha=strategies.floats(markov.TAU_EPS, 1.0 - markov.TAU_EPS),
-       n_k=strategies.integers(2, 200), w0=strategies.integers(2, 64),
-       m=strategies.integers(1, 7),
-       rule=strategies.sampled_from(("doubling", "doubling-minus-one")))
+@given(**coupling_cases)
 def test_coupled_cycle_equals_the_packet_cycle_composition(alpha, n_k, w0, m,
                                                            rule):
     # the one-pass loop repeats the floats of _stage_walk and
     # _share_after_collision: the same zero share on every pass, and the
-    # same result
+    # same (p_idle, p_zero)
     widths = window_sizes(w0, m, rule)
     want, got = [], []
     recording = mock.patch.object(markov, "_after_collision",
@@ -397,6 +401,29 @@ def test_coupled_cycle_equals_the_packet_cycle_composition(alpha, n_k, w0, m,
         with recording:
             assert repr(_coupled_cycle(alpha, n_k, widths)) == repr(expected)
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**coupling_cases)
+def test_bisected_rate_terms_are_the_packet_cycle_floats(alpha, n_k, w0, m,
+                                                         rule):
+    # the residual reads the two floats the reported cycle holds, and they
+    # are the sums over the stage walk in stage order
+    widths = window_sizes(w0, m, rule)
+    try:
+        p_idle, p_zero = _coupled_cycle(alpha, n_k, widths)
+    except (InfeasibleModelError, ZeroDivisionError):
+        return
+    cycle = _packet_cycle(p_idle, p_zero, widths)
+    terms = _idle_rate_terms(p_idle, p_zero, widths)
+    assert repr(terms) == repr((cycle.idle_attempts, cycle.decrements))
+    drop, _, reach = _stage_walk(p_idle, p_zero, widths)
+    fresh = [1.0 - drop] + reach[1:]
+    idle_attempts = decrements = 0.0
+    for f, w in zip(fresh, widths):
+        idle_attempts += f * (w - 1) / w
+        decrements += f * (w - 1) / 2.0
+    assert repr(terms) == repr((idle_attempts, decrements))
 
 
 @pytest.mark.parametrize("alpha, n_k, zero_share", [

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -439,8 +440,8 @@ def test_zero_beacon_intervals_rejected():
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_shared_generator_gives_each_station_its_own_stream(seed):
-    # the first chunk, then three refills, of one generator re-keyed
-    # between the two stations at every chunk
+    # the chunks of 64, 128, 256 and 512 doubles, then two 512 refills, of
+    # one generator re-keyed between the two stations at every chunk
     ids = (0, 2**20 - 1)
     streams = simulator._streams(seed, ids)
     draws = 64 + 3 * 512
@@ -454,13 +455,49 @@ def test_shared_generator_gives_each_station_its_own_stream(seed):
 
 
 def test_refilled_streams_match_reference():
-    # a lone station draws once per success: past the first chunk and
-    # three refills of its stream
+    # a lone station draws once per success: past the growing chunks of
+    # 64, 128, 256 and 512 doubles and into the 512 refills of its stream
     params = make_params(n=1, w0=7, m=2, bi_slots=500, cbap_slots=400)
     timings = derive_timings(params)
     stats = run_simulation(params, timings, seed=7, num_bi=80)
     assert stats.successes[0] + 1 > 64 + 3 * 512
     assert_matches_reference(params, timings, seed=7, num_bi=80)
+
+
+def test_streams_generate_about_what_a_short_run_draws(monkeypatch):
+    # each station's doubles, counted as generated (by wrapping the shared
+    # generator) and as drawn (by wrapping each station's next)
+    generated, drawn = Counter(), Counter()
+    real_generator, real_streams = np.random.Generator, simulator._streams
+
+    class CountingGenerator:
+        def __init__(self, bitgen):
+            self.bitgen = bitgen
+            self.inner = real_generator(bitgen)
+
+        def random(self, size):
+            low, high = self.bitgen.state["state"]["key"]
+            sid = ((high << 64) | low) & (simulator.MAX_STATIONS - 1)
+            generated[sid] += size
+            return self.inner.random(size)
+
+    def counted_streams(seed, station_ids):
+        def counted(sid, draw):
+            def next_double():
+                drawn[sid] += 1
+                return draw()
+            return next_double
+        return [counted(sid, draw) for sid, draw in
+                zip(station_ids, real_streams(seed, station_ids))]
+
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    monkeypatch.setattr(simulator, "_streams", counted_streams)
+    params = make_params(n=50, w0=7, m=5)
+    run_simulation(params, derive_timings(params), seed=3, num_bi=5)
+    assert set(generated) == set(drawn) == set(range(50))
+    for sid in drawn:
+        assert drawn[sid] > 64  # past the first chunk
+        assert generated[sid] <= 2 * drawn[sid] + 64, sid
 
 
 def test_population_beyond_stream_key_space_rejected(monkeypatch):
