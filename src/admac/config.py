@@ -148,6 +148,8 @@ def make_params(**overrides):
 
 def window_sizes(w0, m, rule="doubling"):
     """Contention window width per backoff stage 0..m."""
+    if m < 0:
+        raise ConfigError(f"m must be >= 0, got {m}")
     if rule == "doubling":
         sizes = tuple((2 ** i) * w0 for i in range(m + 1))
     elif rule == "doubling-minus-one":

@@ -21,11 +21,11 @@ actually has, and is what the performance metrics use.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
+from typing import NamedTuple
 
 from .config import window_sizes
-from .errors import InfeasibleModelError, InternalConsistencyError
+from .errors import (ConfigError, InfeasibleModelError,
+                     InternalConsistencyError)
 from .numeric import left_sum
 
 TAU_EPS = 1e-12
@@ -240,8 +240,7 @@ class CoupledSolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class _PacketCycle:
+class _PacketCycle(NamedTuple):
     """Per-packet means of one station at given attempt collision odds."""
 
     drop_prob: float
@@ -252,67 +251,64 @@ class _PacketCycle:
     zero_share: float
 
 
-def _stage_walk(p_idle, p_zero, widths):
-    """Collision odds of an attempt at each stage, and the reach of each stage.
-
-    Returns the drop probability, the per-stage collision odds and the
-    chance that a packet reaches each stage.  ``_coupled_cycle`` repeats
-    these floats in its own loop.
-    """
-    head = p_idle * (widths[0] - 1) / widths[0]
-    stage_p = [p_idle * (w - 1) / w + p_zero / w for w in widths]
-    upper = math.prod(stage_p[1:])
-    drop = head * upper / (1.0 - (p_zero - head) * upper)
-    stage_p[0] = head * (1.0 - drop) + p_zero * drop
-
-    reach = list(accumulate(stage_p[:-1], mul, initial=1.0))
-    return drop, stage_p, reach
-
-
-def _share_after_collision(stage_p, reach, widths):
-    """Chance that a station leaving a collision transmits again at once."""
-    collided = list(map(mul, reach, stage_p))
-    zero_next = [1.0 / w for w in widths[1:]] + [1.0]
-    total_collided = left_sum(collided)
-    return (
-        left_sum(map(mul, collided, zero_next)) / total_collided
-        if total_collided > 0.0 else 0.0
-    )
-
-
-def _idle_rate_terms(p_idle, p_zero, widths):
-    """Attempts after idle slots and counter decrements of one packet.
-
-    Their ratio is the idle-slot rate the coupling bisects on;
-    ``_packet_cycle`` reports the same two floats.
-    """
-    drop, _, reach = _stage_walk(p_idle, p_zero, widths)
-    fresh = [1.0 - drop] + reach[1:]
-    return (left_sum(f * (w - 1) / w for f, w in zip(fresh, widths)),
-            left_sum(f * (w - 1) / 2.0 for f, w in zip(fresh, widths)))
-
-
-def _packet_cycle(p_idle, p_zero, widths):
-    """Walk one packet through the stages.
+def _packet_walk(p_idle, widths):
+    """Walk one packet through the stages at after-idle odds ``p_idle``.
 
     A stage-i draw of zero (chance 1/W_i) transmits at once; any other draw
     counts down on idle slots and transmits on reaching zero.  At stage 0
     the draw follows the station's own success, so a zero there never
     collides, except after a drop, when the next packet starts at zero
-    straight after the collision.  ``zero_share`` is the chance that a
-    station leaving a collision transmits again at once.
+    straight after the collision.  The terms of ``p_idle`` alone are taken
+    here, once.  Returns two functions of the after-collision odds: the
+    chance ``zero_share`` that a station leaving a collision transmits again
+    at once, and the whole ``_PacketCycle``.  A packet reaches stage i + 1
+    with the collided share of stage i.  Every sum runs in stage order from
+    its stage-0 term, the float that 0.0 plus that term gives.
     """
-    drop, stage_p, reach = _stage_walk(p_idle, p_zero, widths)
-    idle_attempts, decrements = _idle_rate_terms(p_idle, p_zero, widths)
-    return _PacketCycle(
-        drop_prob=drop,
-        attempts=left_sum(reach),
-        idle_attempts=idle_attempts,
-        zero_after_collision=drop + left_sum(
-            r / w for r, w in zip(reach[1:], widths[1:])),
-        decrements=decrements,
-        zero_share=_share_after_collision(stage_p, reach, widths),
-    )
+    head = p_idle * (widths[0] - 1) / widths[0]
+    zero_next = [1.0 / w for w in widths[1:]] + [1.0]
+    upper = [(p_idle * (w - 1) / w, w) for w in widths[1:]]
+    first_next, later_next = zero_next[0], zero_next[1:]
+
+    def stage_odds(p_zero):
+        """Odds of stages 1..m, the drop chance, stage 0's collided share."""
+        stage_p = [idle + p_zero / w for idle, w in upper]
+        product = math.prod(stage_p)
+        drop = head * product / (1.0 - (p_zero - head) * product)
+        return stage_p, drop, head * (1.0 - drop) + p_zero * drop
+
+    def zero_share(p_zero):
+        stage_p, _, collided = stage_odds(p_zero)
+        total, weighted = collided, collided * first_next
+        for odds_i, next_i in zip(stage_p, later_next):
+            collided *= odds_i
+            total += collided
+            weighted += collided * next_i
+        return weighted / total if total > 0.0 else 0.0
+
+    def cycle(p_zero):
+        stage_p, drop, collided = stage_odds(p_zero)
+        w = widths[0]
+        attempts, zero_after = 1.0, 0.0
+        idle_attempts = (1.0 - drop) * (w - 1) / w
+        decrements = (1.0 - drop) * (w - 1) / 2.0
+        total, weighted = collided, collided * first_next
+        for odds_i, w, next_i in zip(stage_p, widths[1:], later_next):
+            reach = collided
+            attempts += reach
+            idle_attempts += reach * (w - 1) / w
+            decrements += reach * (w - 1) / 2.0
+            zero_after += reach / w
+            collided = reach * odds_i
+            total += collided
+            weighted += collided * next_i
+        return _PacketCycle(
+            drop_prob=drop, attempts=attempts, idle_attempts=idle_attempts,
+            zero_after_collision=drop + zero_after, decrements=decrements,
+            zero_share=weighted / total if total > 0.0 else 0.0,
+        )
+
+    return zero_share, cycle
 
 
 def _after_collision(alpha, n_k):
@@ -346,33 +342,16 @@ def _after_collision(alpha, n_k):
 
 
 def _coupled_cycle(alpha, n_k, widths):
-    """The after-idle and after-collision odds at ``alpha``, made consistent.
-
-    Each pass takes ``_packet_cycle(p_idle, p_zero, widths).zero_share`` in
-    one loop, with the float operations of ``_stage_walk`` and
-    ``_share_after_collision`` in their order; the terms that depend on
-    ``p_idle`` alone are taken once, before the first pass.
-    """
+    """p_idle, the after-collision odds settled at ``alpha``, and the packet
+    cycle at them.  Each pass walks the zero share alone; the whole packet
+    is walked once, at the settled odds."""
     p_idle, odds = _after_collision(alpha, n_k)
-    head = p_idle * (widths[0] - 1) / widths[0]
-    upper_terms = [(p_idle * (w - 1) / w, w) for w in widths[1:]]
-    zero_next = [1.0 / w for w in widths[1:]] + [1.0]
-    first_next, later_next = zero_next[0], zero_next[1:]
+    zero_share, cycle = _packet_walk(p_idle, widths)
     p_zero = 0.0
     for _ in range(MAX_ITER):
-        stage_p = [idle + p_zero / w for idle, w in upper_terms]
-        upper = math.prod(stage_p)
-        drop = head * upper / (1.0 - (p_zero - head) * upper)
-        # collided attempts per stage: reach times odds, a running product
-        collided = head * (1.0 - drop) + p_zero * drop
-        total, weighted = collided, collided * first_next
-        for odds_i, next_i in zip(stage_p, later_next):
-            collided *= odds_i
-            total += collided
-            weighted += collided * next_i
-        nxt = odds(weighted / total if total > 0.0 else 0.0)
+        nxt = odds(zero_share(p_zero))
         if abs(nxt - p_zero) <= ZERO_ODDS_TOL:
-            return p_idle, nxt
+            return p_idle, nxt, cycle(nxt)
         p_zero = nxt
     raise InfeasibleModelError(
         f"after-collision odds did not settle at alpha={alpha:.6g}"
@@ -434,10 +413,12 @@ def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling"):
     end, and with a one-slot stage-0 window a successful station keeps the
     channel.
     """
+    if n_k < 1:
+        raise ConfigError(f"n_k must be >= 1, got {n_k}")
     widths = window_sizes(w0, m, window_rule)
     if n_k == 1:
-        cycle = _packet_cycle(0.0, 0.0, widths)
-        return _solution(0.0, 1, 0.0, 0.0, cycle, 0, 0.0)
+        _, cycle = _packet_walk(0.0, widths)
+        return _solution(0.0, 1, 0.0, 0.0, cycle(0.0), 0, 0.0)
     if m == 0:
         raise InfeasibleModelError(
             "m=0 with two or more stations per sector: colliding stations "
@@ -450,11 +431,10 @@ def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling"):
         )
 
     def residual(alpha):
-        p_idle, p_zero = _coupled_cycle(alpha, n_k, widths)
-        idle_attempts, decrements = _idle_rate_terms(p_idle, p_zero, widths)
-        return idle_attempts / decrements - alpha, p_idle, p_zero
+        p_idle, p_zero, cycle = _coupled_cycle(alpha, n_k, widths)
+        return (cycle.idle_attempts / cycle.decrements - alpha,
+                p_idle, p_zero, cycle)
 
-    alpha, iterations, (g, p_idle, p_zero) = _bisect(
+    alpha, iterations, (g, p_idle, p_zero, cycle) = _bisect(
         residual, TAU_EPS, 1.0 - TAU_EPS, "idle-slot coupling")
-    cycle = _packet_cycle(p_idle, p_zero, widths)
     return _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, abs(g))

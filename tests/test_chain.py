@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies
 from scipy.sparse import csr_array
 
-from admac import (ExplicitChain, OracleError, OracleSizeError,
+from admac import (ConfigError, ExplicitChain, OracleError, OracleSizeError,
                    b000_closed_form, build_chain, derive_sector_models,
                    derive_timings, eta_terms, make_params, raw_sector,
                    solve_fixed_point, stationary_distribution, tau_of,
@@ -198,6 +198,11 @@ def test_no_return_path_leaves_one_step_suspension_mass():
 def test_oracle_size_limit():
     with pytest.raises(OracleSizeError):
         build_chain(0.3, raw_sector(0.0, 0.0, 0.0), 4096, 4)
+
+
+def test_build_chain_rejects_negative_m():
+    with pytest.raises(ConfigError, match=r"^m must be >= 0, got -1$"):
+        build_chain(0.3, raw_sector(0.0, 0.0, 0.0), 4, -1)
 
 
 def test_validation_report_default_grid():

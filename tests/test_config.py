@@ -165,6 +165,10 @@ def test_window_sizes_rules():
     assert window_sizes(4, 0) == (4,)
     with pytest.raises(ConfigError):
         window_sizes(4, 2, "tripling")
+    # no stages at all would send the solvers past the end of the tuple
+    for rule in ("doubling", "doubling-minus-one"):
+        with pytest.raises(ConfigError, match=r"^m must be >= 0, got -1$"):
+            window_sizes(7, -1, rule)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,19 +1,19 @@
 """Closed-form normalization, fixed point, and steady-state vector."""
 
+import hashlib
 from decimal import Decimal, localcontext
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies
 
-from admac import (AdmacError, InfeasibleModelError, b000_closed_form,
-                   build_chain, collision_probability, eta_terms, raw_sector,
-                   solve_fixed_point, solve_idle_slot_coupling,
-                   stationary_distribution, steady_state_vector, tau_of,
-                   window_sizes)
+from admac import (AdmacError, ConfigError, InfeasibleModelError,
+                   b000_closed_form, build_chain, collision_probability,
+                   eta_terms, raw_sector, solve_fixed_point,
+                   solve_idle_slot_coupling, stationary_distribution,
+                   steady_state_vector, tau_of, window_sizes)
 from admac import markov
-from admac.markov import (_after_collision, _coupled_cycle, _idle_rate_terms,
-                          _packet_cycle, _share_after_collision, _stage_walk)
+from admac.markov import _after_collision, _coupled_cycle, _packet_walk
 from conftest import chain_states
 
 
@@ -328,6 +328,56 @@ def test_coupling_rejects_regimes_without_steady_state(args):
         solve_idle_slot_coupling(**args)
 
 
+@pytest.mark.parametrize("n_k, m, message", [
+    (0, 5, "n_k must be >= 1, got 0"),
+    (-3, 5, "n_k must be >= 1, got -3"),
+    (1, -1, "m must be >= 0, got -1"),
+    (10, -1, "m must be >= 0, got -1"),
+])
+def test_coupling_refuses_bad_arguments_before_bisecting(n_k, m, message,
+                                                         monkeypatch):
+    # an empty sector once ran the whole bisection budget and then reported
+    # that it did not converge; m = -1 once ended in an IndexError
+    def no_bisection(*args):
+        raise AssertionError("bisected")
+    monkeypatch.setattr(markov, "_bisect", no_bisection)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        solve_idle_slot_coupling(n_k, 7, m)
+
+
+PIN_N_K = (1, 2, 3, 10, 50, 1200, 2 ** 20)
+PIN_W0 = (2, 3, 7, 31)
+PIN_RULES = ("doubling", "doubling-minus-one")
+
+
+def coupling_outcome(n_k, w0, m, rule):
+    """The repr of a coupled solution, or the type and text of its error."""
+    try:
+        return repr(solve_idle_slot_coupling(n_k, w0, m, window_rule=rule))
+    except AdmacError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+COUPLING_PINS = {
+    0: "9e41120c4c6b84b6122660e25065b9e7f06e83e4243d02f349952c46e7936e5a",
+    1: "712c7ff8a769c7f1b590fccc26ef42c27a01c0d6506e4b11ccfe5718f01ece44",
+    2: "d4c5a8173422008592bcc195e9f9f581ca1d6510130aadb4df25ebb4efee26e3",
+    5: "0b68386319e94e3a69509db54169eb4daea5623c95f7712f3df80ed24ea6e2cf",
+    7: "9adfaebf928593930d102d2b6fd456b174002c4daee7201b2f3c3dfc55844198",
+}
+
+
+@pytest.mark.parametrize("m", sorted(COUPLING_PINS))
+def test_coupled_solutions_are_pinned(m):
+    # every float of every solution, and every error text, over the grid;
+    # a refactor leaves these bytes as they are, and a model change re-pins
+    # them with the reason in CHANGES.md
+    lines = [coupling_outcome(n_k, w0, m, rule)
+             for rule in PIN_RULES for w0 in PIN_W0 for n_k in PIN_N_K]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == COUPLING_PINS[m]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(n_k=strategies.integers(1, 2 ** 20), w0=strategies.integers(1, 64),
        m=strategies.integers(0, 7),
@@ -347,17 +397,17 @@ def test_coupling_is_a_valid_operating_point_or_a_model_error(n_k, w0, m, rule):
 
 
 def coupled_cycle_by_composition(alpha, n_k, widths, shares):
-    """The after-collision loop of ``_coupled_cycle`` as the composition of
-    the packet-cycle steps; appends the zero share of each pass to
+    """The after-collision loop of ``_coupled_cycle`` with every pass taking
+    the whole packet walk; appends the zero share of each pass to
     ``shares``."""
     p_idle, odds = _after_collision(alpha, n_k)
+    _, cycle = _packet_walk(p_idle, widths)
     p_zero = 0.0
     for _ in range(markov.MAX_ITER):
-        _, stage_p, reach = _stage_walk(p_idle, p_zero, widths)
-        shares.append(_share_after_collision(stage_p, reach, widths))
+        shares.append(cycle(p_zero).zero_share)
         nxt = odds(shares[-1])
         if abs(nxt - p_zero) <= markov.ZERO_ODDS_TOL:
-            return p_idle, nxt
+            return p_idle, nxt, cycle(nxt)
         p_zero = nxt
     raise InfeasibleModelError("the composition did not settle")
 
@@ -374,6 +424,40 @@ def recording_after_collision(shares):
     return after_collision
 
 
+def packet_cycle_by_formula(p_idle, p_zero, widths):
+    """The six per-packet means, one formula each, every sum from 0.0.
+
+    Stage i collides with p_idle (W_i - 1)/W_i + p_zero/W_i; stage 0 mixes
+    fresh draws, which never collide at zero, with restarts at zero after a
+    drop.  A packet reaches stage i + 1 with reach_i times those odds.
+    """
+    head = p_idle * (widths[0] - 1) / widths[0]
+    stage_p = [p_idle * (w - 1) / w + p_zero / w for w in widths]
+    upper = 1.0
+    for odds in stage_p[1:]:
+        upper *= odds
+    drop = head * upper / (1.0 - (p_zero - head) * upper)
+    stage_p[0] = head * (1.0 - drop) + p_zero * drop
+    reach = [1.0]
+    for odds in stage_p[:-1]:
+        reach.append(reach[-1] * odds)
+    fresh = [1.0 - drop] + reach[1:]
+    collided = [r * odds for r, odds in zip(reach, stage_p)]
+    zero_next = [1.0 / w for w in widths[1:]] + [1.0]
+    attempts = idle_attempts = decrements = zero_after = 0.0
+    total = weighted = 0.0
+    for i, w in enumerate(widths):
+        attempts += reach[i]
+        idle_attempts += fresh[i] * (w - 1) / w
+        decrements += fresh[i] * (w - 1) / 2.0
+        if i:
+            zero_after += reach[i] / w
+        total += collided[i]
+        weighted += collided[i] * zero_next[i]
+    return (drop, attempts, idle_attempts, drop + zero_after, decrements,
+            weighted / total if total > 0.0 else 0.0)
+
+
 coupling_cases = dict(
     alpha=strategies.floats(markov.TAU_EPS, 1.0 - markov.TAU_EPS),
     n_k=strategies.integers(2, 200), w0=strategies.integers(2, 64),
@@ -385,9 +469,8 @@ coupling_cases = dict(
 @given(**coupling_cases)
 def test_coupled_cycle_equals_the_packet_cycle_composition(alpha, n_k, w0, m,
                                                            rule):
-    # the one-pass loop repeats the floats of _stage_walk and
-    # _share_after_collision: the same zero share on every pass, and the
-    # same (p_idle, p_zero)
+    # the share-only passes give the zero share of the whole walk on every
+    # pass, and so the same (p_idle, p_zero, cycle)
     widths = window_sizes(w0, m, rule)
     want, got = [], []
     recording = mock.patch.object(markov, "_after_collision",
@@ -407,23 +490,15 @@ def test_coupled_cycle_equals_the_packet_cycle_composition(alpha, n_k, w0, m,
 @given(**coupling_cases)
 def test_bisected_rate_terms_are_the_packet_cycle_floats(alpha, n_k, w0, m,
                                                          rule):
-    # the residual reads the two floats the reported cycle holds, and they
-    # are the sums over the stage walk in stage order
+    # the cycle the residual reads, and the solution reports, holds the
+    # floats of the stage-by-stage formulas, each summed in stage order
     widths = window_sizes(w0, m, rule)
     try:
-        p_idle, p_zero = _coupled_cycle(alpha, n_k, widths)
+        p_idle, p_zero, cycle = _coupled_cycle(alpha, n_k, widths)
     except (InfeasibleModelError, ZeroDivisionError):
         return
-    cycle = _packet_cycle(p_idle, p_zero, widths)
-    terms = _idle_rate_terms(p_idle, p_zero, widths)
-    assert repr(terms) == repr((cycle.idle_attempts, cycle.decrements))
-    drop, _, reach = _stage_walk(p_idle, p_zero, widths)
-    fresh = [1.0 - drop] + reach[1:]
-    idle_attempts = decrements = 0.0
-    for f, w in zip(fresh, widths):
-        idle_attempts += f * (w - 1) / w
-        decrements += f * (w - 1) / 2.0
-    assert repr(terms) == repr((idle_attempts, decrements))
+    assert repr(tuple(cycle)) == repr(
+        packet_cycle_by_formula(p_idle, p_zero, widths))
 
 
 @pytest.mark.parametrize("alpha, n_k, zero_share", [
