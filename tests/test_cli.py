@@ -130,6 +130,13 @@ def test_unknown_flag_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_unknown_window_rule_usage_error_is_pinned(capsys):
+    assert main(["solve", "--window-rule", "bogus"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: argument --window-rule: invalid choice: 'bogus' "
+        "(choose from 'doubling', 'doubling-minus-one')\n")
+
+
 def test_infeasible_window_is_model_error(capsys):
     # 0.0005 of the default interval is 10 slots, shorter than one exchange
     assert main(["solve", "--n", "5", "--cbap-fraction", "0.0005"]) == 2

@@ -187,6 +187,16 @@ def test_make_params_rejects_bad_values(kwargs):
         make_params(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(m=-1), "m must be >= 0, got -1"),
+    (dict(window_rule="x"), "unknown window_rule 'x'"),
+], ids=["m", "window-rule"])
+def test_make_params_schedule_messages_are_pinned(kwargs, message):
+    with pytest.raises(ConfigError) as err:
+        make_params(**kwargs)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("name", ["slot_time", "sifs", "difs", "rifs",
                                   "control_rate", "data_rate",
                                   "phy_overhead"])
