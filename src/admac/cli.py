@@ -26,8 +26,8 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import (ModelParams, derive_timings, make_params, open_text,
-                     parse_config_file, read_lines)
+from .config import (WINDOW_RULES, ModelParams, derive_timings, make_params,
+                     open_text, parse_config_file, read_lines)
 from .errors import AdmacError, ConfigError, ValidationError
 from .metrics import analyze
 from .numeric import left_sum
@@ -129,8 +129,17 @@ def _collect_overrides(args):
     return overrides
 
 
-def _row(params, digest, report, seed=None, num_bi=None):
-    """Base-column row of one point's report; analytic rows have no seed."""
+def _point_row(params, digest, seed=None, num_bi=None):
+    """Base-column row of one point: analytic without a seed, which leaves
+    ``seed`` and ``num_bi`` empty, else one simulated run of ``num_bi``
+    beacon intervals."""
+    if seed is None:
+        report, num_bi = analyze(params), None
+    else:
+        from .simulator import empirical_report, run_simulation
+
+        stats = run_simulation(params, derive_timings(params), seed, num_bi)
+        report = empirical_report(stats, params)
     return {
         "config_hash": digest, "seed": seed, "n": params.n, "q": params.q,
         "w0": params.w0, "m": params.m,
@@ -141,23 +150,14 @@ def _row(params, digest, report, seed=None, num_bi=None):
     }
 
 
-def _sim_row(params, digest, seed, num_bi):
-    from .simulator import empirical_report, run_simulation
-
-    stats = run_simulation(params, derive_timings(params), seed, num_bi)
-    return _row(params, digest, empirical_report(stats, params), seed, num_bi)
-
-
 def _sweep_point(base_overrides, param, num_bi, point):
-    """Sweep row of one (value, mode, seed) point; a failure fills ``error``."""
+    """Sweep row of one (value, mode, seed) point, analytic where the seed
+    is None; a failure fills ``error``."""
     value, mode, seed = point
     row = {**dict.fromkeys(SWEEP_COLUMNS), "mode": mode}
     try:
         params = make_params(**_with_flag(base_overrides, param, value))
-        if mode == "analytic":
-            row.update(_row(params, config_hash(params), analyze(params)))
-        else:
-            row.update(_sim_row(params, config_hash(params), seed, num_bi))
+        row.update(_point_row(params, config_hash(params), seed, num_bi))
     except AdmacError as exc:
         row["error"] = str(exc)
         row[param] = value
@@ -166,23 +166,19 @@ def _sweep_point(base_overrides, param, num_bi, point):
 
 
 def _map(fn, tasks, jobs):
-    """``fn`` of every task, in order, over at most one process per CPU.
-
-    There are no more workers than tasks.  A pool starts only for two or
-    more workers, and only then is ``concurrent.futures`` (with
-    ``multiprocessing``) imported.
+    """``fn`` of every task, in order, over at most one process per task
+    and per CPU this process may run on.  A pool, and ``concurrent.futures``
+    with ``multiprocessing``, start only for two or more workers.
     """
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus, len(tasks))
     if workers < 2:
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
-
-
-def _render(value):
-    return "" if value is None else str(value)
 
 
 def _write_csv(path, comment_lines, columns, rows):
@@ -192,7 +188,8 @@ def _write_csv(path, comment_lines, columns, rows):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_render(row[col]) for col in columns])
+        writer.writerow(["" if row[col] is None else str(row[col])
+                         for col in columns])
     _emit(path, buffer.getvalue())
 
 
@@ -205,20 +202,13 @@ def _emit(path, text):
             fh.write(text)
 
 
-def _cmd_solve(args):
+def _cmd_point(args):
+    """``solve``'s analytic row, or ``simulate``'s row of each seed."""
     params = make_params(**_collect_overrides(args))
     comments, digest = _provenance(params)
-    _write_csv(args.out, comments, BASE_COLUMNS,
-               [_row(params, digest, analyze(params))])
-    return 0
-
-
-def _cmd_simulate(args):
-    params = make_params(**_collect_overrides(args))
-    comments, digest = _provenance(params)
-    run = functools.partial(_sim_row, params, digest, num_bi=args.num_bi)
-    rows = _map(run, parse_seeds(args.seeds), args.jobs)
-    _write_csv(args.out, comments, BASE_COLUMNS, rows)
+    seeds = (None,) if args.seeds is None else parse_seeds(args.seeds)
+    run = functools.partial(_point_row, params, digest, num_bi=args.num_bi)
+    _write_csv(args.out, comments, BASE_COLUMNS, _map(run, seeds, args.jobs))
     return 0
 
 
@@ -277,8 +267,13 @@ def _read_results(path, role):
     lines = read_lines(path)
     comments = dict(line[1:].strip().partition("=")[::2]
                     for line in lines if line.startswith("#"))
+    try:
+        rows = list(csv.DictReader(
+            line for line in lines if not line.startswith("#")))
+    except csv.Error as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
     grouped = {}
-    for row in csv.DictReader(line for line in lines if not line.startswith("#")):
+    for row in rows:
         kind = row.get("mode")
         if kind is None and row.get("seed") is not None:
             kind = "sim" if row["seed"] else "analytic"
@@ -398,7 +393,7 @@ def _add_config_flags(parser):
     parser.add_argument("--bi-ms", type=_finite, dest="bi_ms",
                         help="beacon interval length in milliseconds")
     parser.add_argument("--window-rule", dest="window_rule",
-                        choices=("doubling", "doubling-minus-one"),
+                        choices=WINDOW_RULES,
                         help="contention window growth rule")
     parser.add_argument("--out", help="output path (default stdout)")
 
@@ -424,13 +419,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="single analytical point")
+    p_solve.set_defaults(handler=_cmd_point, seeds=None, num_bi=None, jobs=1)
     _add_config_flags(p_solve)
 
     p_sim = sub.add_parser("simulate", help="single simulated point")
+    p_sim.set_defaults(handler=_cmd_point)
     _add_config_flags(p_sim)
     _add_run_flags(p_sim)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
+    p_sweep.set_defaults(handler=_cmd_sweep)
     _add_config_flags(p_sweep)
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--param", required=True,
@@ -441,10 +439,12 @@ def build_parser():
                          choices=("analytic", "sim", "both"))
 
     p_val = sub.add_parser("validate", help="closed form vs explicit chain")
+    p_val.set_defaults(handler=_cmd_validate)
     p_val.add_argument("--tol", type=_tolerance, default=1e-6)
     p_val.add_argument("--out", help="report path (default stdout)")
 
     p_cmp = sub.add_parser("compare", help="join analytic and sim CSVs")
+    p_cmp.set_defaults(handler=_cmd_compare)
     p_cmp.add_argument("analytic_csv")
     p_cmp.add_argument("sim_csv")
     p_cmp.add_argument("--out", help="output path (default stdout)")
@@ -462,14 +462,7 @@ def main(argv=None):
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "solve": _cmd_solve,
-            "simulate": _cmd_simulate,
-            "sweep": _cmd_sweep,
-            "validate": _cmd_validate,
-            "compare": _cmd_compare,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,8 @@ from .errors import ConfigError, InfeasibleModelError
 
 MICRO = 1e-6
 
-WINDOW_RULES = ("doubling", "doubling-minus-one")
+# what each window rule subtracts from 2**i * w0; window_sizes reads it
+WINDOW_RULES = {"doubling": 0, "doubling-minus-one": 1}
 SPLIT_RULES = ("equal", "proportional")
 
 
@@ -61,16 +62,13 @@ class ModelParams:
             raise ConfigError(f"q must be >= 1, got {self.q}")
         if self.w0 < 2:
             raise ConfigError(f"w0 must be >= 2, got {self.w0}")
-        if self.m < 0:
-            raise ConfigError(f"m must be >= 0, got {self.m}")
+        window_sizes(self.w0, self.m, self.window_rule)
         if self.bi_slots < 1:
             raise ConfigError(f"bi_slots must be >= 1, got {self.bi_slots}")
         if not 1 <= self.cbap_slots <= self.bi_slots:
             raise ConfigError(
                 f"cbap_slots must be in [1, bi_slots], got {self.cbap_slots}"
             )
-        if self.window_rule not in WINDOW_RULES:
-            raise ConfigError(f"unknown window_rule {self.window_rule!r}")
         if self.cbap_split_rule not in SPLIT_RULES:
             raise ConfigError(f"unknown cbap_split_rule {self.cbap_split_rule!r}")
         for name in ("slot_time", "sifs", "difs", "rifs",
@@ -147,18 +145,21 @@ def make_params(**overrides):
 
 
 def window_sizes(w0, m, rule="doubling"):
-    """Contention window width per backoff stage 0..m."""
+    """Contention window width per backoff stage 0..m, ``2**i * w0`` less
+    what ``rule`` subtracts.  Every check of the schedule runs here, before
+    the widths are built; the model's arithmetic needs floats of them."""
     if m < 0:
         raise ConfigError(f"m must be >= 0, got {m}")
-    if rule == "doubling":
-        sizes = tuple((2 ** i) * w0 for i in range(m + 1))
-    elif rule == "doubling-minus-one":
-        sizes = tuple((2 ** i) * w0 - 1 for i in range(m + 1))
-    else:
+    if rule not in WINDOW_RULES:
         raise ConfigError(f"unknown window_rule {rule!r}")
-    if any(w < 1 for w in sizes):
+    less = WINDOW_RULES[rule]
+    if w0 - less < 1:
         raise ConfigError(f"window rule {rule!r} yields an empty window")
-    return sizes
+    try:
+        math.ldexp(w0, m)
+    except OverflowError:
+        raise ConfigError(f"the widest window w0 * 2**{m} does not fit a float")
+    return tuple((2 ** i) * w0 - less for i in range(m + 1))
 
 
 def frame_airtime(num_bytes, rate, phy_overhead=0.0):

@@ -138,6 +138,8 @@ def solve_fixed_point(sector, w0, m, window_rule="doubling"):
     when no sign change exists in the bracket or bisection fails to reach
     ROOT_TOL within MAX_ITER iterations.
     """
+    if sector.n_k < 1:
+        raise ConfigError(f"n_k must be >= 1, got {sector.n_k}")
     if sector.n_k == 1:
         g, p, b000 = _tau_residual(0.0, sector, w0, m, window_rule)
         return FixedPointSolution(tau=g, p=p, b000=b000, iterations=0,

@@ -137,6 +137,33 @@ def test_unknown_window_rule_usage_error_is_pinned(capsys):
         "(choose from 'doubling', 'doubling-minus-one')\n")
 
 
+WIDE_W0 = str(2 ** 1100)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--m", "1100"],
+    ["solve", "--w0", WIDE_W0],
+    ["simulate", "--w0", WIDE_W0, "--seeds", "0", "--num-bi", "1"],
+], ids=["solve-m", "solve-w0", "simulate-w0"])
+def test_schedule_too_wide_for_a_float_is_config_error(argv, capsys):
+    # these once ended in an OverflowError traceback from the model
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the widest window w0 * 2**")
+    assert err.endswith(" does not fit a float\n")
+
+
+def test_sweep_keeps_an_error_row_for_a_schedule_too_wide(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--param", "w0", "--values", f"7,{WIDE_W0}",
+                 "--mode", "analytic", "--out", str(out)]) == 0
+    _, (good, bad) = read_csv(out)
+    assert good["w0"] == "7" and good["error"] == ""
+    assert 0.0 < float(good["u"]) < 1.0
+    assert bad["w0"] == WIDE_W0 and bad["u"] == ""
+    assert bad["error"] == "the widest window w0 * 2**5 does not fit a float"
+
+
 def test_infeasible_window_is_model_error(capsys):
     # 0.0005 of the default interval is 10 slots, shorter than one exchange
     assert main(["solve", "--n", "5", "--cbap-fraction", "0.0005"]) == 2
@@ -444,10 +471,27 @@ class RecordingExecutor:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("cpus, expected", [(2, [2]), (1, []), (None, [])],
-                         ids=["two-cpus", "one-cpu", "unknown-cpus"])
-def test_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, cpus, expected):
+def set_cpus(monkeypatch, cpus, affinity):
+    """This process sees ``cpus`` CPUs and, unless None, may run on
+    ``affinity``; without it the platform has no ``sched_getaffinity``."""
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(affinity), raising=False)
+
+
+@pytest.mark.parametrize("cpus, affinity, expected", [
+    (2, None, [2]), (1, None, []), (None, None, []),
+    (8, {0, 1}, [2]), (8, {3}, []),
+], ids=["two-cpus", "one-cpu", "unknown-cpus", "two-of-eight-usable",
+        "one-of-eight-usable"])
+def test_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, cpus, affinity,
+                                   expected):
+    # the pool is a serial stand-in, so no test starts more workers than
+    # the machine has
+    set_cpus(monkeypatch, cpus, affinity)
     monkeypatch.setattr(RecordingExecutor, "created", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
@@ -462,7 +506,7 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, tmp_path, cpus, expected):
 
 def test_one_task_starts_no_pool(monkeypatch, tmp_path):
     # a pool's workers cost more to start than one task takes to run
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2, {0, 1})
     monkeypatch.setattr(RecordingExecutor, "created", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
@@ -577,6 +621,19 @@ def test_malformed_compare_input_is_config_error(header, row, column, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {sim_csv}: ")
     assert column in err
+
+
+def test_compare_input_the_csv_reader_refuses_is_config_error(tmp_path,
+                                                              capsys):
+    # a field over the csv module's 131 072-character limit once ended in
+    # an _csv.Error traceback
+    analytic_csv, sim_csv = tmp_path / "a.csv", tmp_path / "s.csv"
+    assert main(["solve", "--n", "10", "--out", str(analytic_csv)]) == 0
+    sim_csv.write_text("config_hash,n,q,w0,m,cbap_fraction,u\n"
+                       f"abc,10,1,7,5,0.4,{'1' * 200_000}\n", encoding="utf-8")
+    assert main(["compare", str(analytic_csv), str(sim_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {sim_csv}: field larger")
 
 
 @pytest.mark.parametrize("first, second, wrong", [

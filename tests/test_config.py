@@ -171,6 +171,17 @@ def test_window_sizes_rules():
             window_sizes(7, -1, rule)
 
 
+def test_window_sizes_refuses_a_widest_window_beyond_a_float():
+    # 7 * 2**1021 is below 2**1024, the first power of two past the floats
+    assert window_sizes(7, 1021)[-1] == 7 * 2 ** 1021
+    assert window_sizes(7, 1021, "doubling-minus-one")[-1] == 7 * 2 ** 1021 - 1
+    for w0, m in ((7, 1022), (2, 1023), (2 ** 1100, 0)):
+        with pytest.raises(ConfigError, match="does not fit a float"):
+            window_sizes(w0, m)
+    with pytest.raises(ConfigError, match=r"^the widest window w0 \* 2\*\*1022"):
+        make_params(m=1022)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(nonsense=3),
     dict(w0=1),

@@ -345,6 +345,17 @@ def test_coupling_refuses_bad_arguments_before_bisecting(n_k, m, message,
         solve_idle_slot_coupling(n_k, 7, m)
 
 
+@pytest.mark.parametrize("n_k", [0, -2])
+def test_fixed_point_refuses_an_empty_sector_before_bisecting(n_k,
+                                                               monkeypatch):
+    # n_k = 0 once bisected and then reported a negative busy probability
+    def no_bisection(*args):
+        raise AssertionError("bisected")
+    monkeypatch.setattr(markov, "_bisect", no_bisection)
+    with pytest.raises(ConfigError, match=f"^n_k must be >= 1, got {n_k}$"):
+        solve_fixed_point(raw_sector(1e-4, 1.4e-3, 0.6, n_k=n_k), 7, 5)
+
+
 PIN_N_K = (1, 2, 3, 10, 50, 1200, 2 ** 20)
 PIN_W0 = (2, 3, 7, 31)
 PIN_RULES = ("doubling", "doubling-minus-one")
