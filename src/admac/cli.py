@@ -26,8 +26,8 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import (WINDOW_RULES, ModelParams, derive_timings, make_params,
-                     open_text, parse_config_file, read_lines)
+from .config import (WINDOW_RULES, ModelParams, check_least, derive_timings,
+                     make_params, open_text, parse_config_file, read_lines)
 from .errors import AdmacError, ConfigError, ValidationError
 from .metrics import analyze
 from .numeric import left_sum
@@ -103,8 +103,7 @@ def _with_flag(overrides, name, value):
     ``bi_slots`` and ``cbap_slots`` at the effective slot time and interval."""
     if name == "bi_ms":
         slot_time = overrides.get("slot_time", ModelParams.slot_time)
-        if slot_time <= 0:
-            raise ConfigError("slot_time must be > 0")
+        check_least("slot_time", slot_time)
         slots = value * 1e-3 / slot_time
         target = "bi_slots"
     elif name == "cbap_fraction":

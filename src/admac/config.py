@@ -54,68 +54,66 @@ class ModelParams:
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if kind is float and not math.isfinite(value):
+            if kind not in (int, float) or name in ("w0", "m"):
+                continue  # window_sizes checks w0 and m
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int that rounds to 2**1024 or more
+                finite, value = False, f"an integer of {value.bit_length()} bits"
+            if not finite:
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
-        if self.w0 < 2:
-            raise ConfigError(f"w0 must be >= 2, got {self.w0}")
+        for name in _LEAST:
+            check_least(name, getattr(self, name))
         window_sizes(self.w0, self.m, self.window_rule)
-        if self.bi_slots < 1:
-            raise ConfigError(f"bi_slots must be >= 1, got {self.bi_slots}")
         if not 1 <= self.cbap_slots <= self.bi_slots:
-            raise ConfigError(
-                f"cbap_slots must be in [1, bi_slots], got {self.cbap_slots}"
-            )
+            raise ConfigError(f"cbap_slots must be in [1, bi_slots], "
+                              f"got {self.cbap_slots}")
         if self.cbap_split_rule not in SPLIT_RULES:
             raise ConfigError(f"unknown cbap_split_rule {self.cbap_split_rule!r}")
-        for name in ("slot_time", "sifs", "difs", "rifs",
-                     "control_rate", "data_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.phy_overhead < 0:
-            raise ConfigError("phy_overhead must be >= 0")
-        for name in ("rts_bytes", "cts_bytes", "ack_bytes", "msdu_bytes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        self._per_sector("sector_populations", "n",
+                         "every sector must hold at least one station",
+                         _round_robin, self.q)
+        self._per_sector("cbap_split", "cbap_slots",
+                         "every sector service period must be >= 1 slot",
+                         _split_cbap, self.sector_populations, self.cbap_split_rule)
 
-        pops = self.sector_populations or _round_robin(self.n, self.q)
-        object.__setattr__(self, "sector_populations", tuple(pops))
-        if len(self.sector_populations) != self.q:
-            raise ConfigError(
-                f"sector_populations has {len(self.sector_populations)} entries, "
-                f"expected q={self.q}"
-            )
-        if any(nk < 1 for nk in self.sector_populations):
-            raise ConfigError("every sector must hold at least one station")
-        if sum(self.sector_populations) != self.n:
-            raise ConfigError(
-                f"sector_populations sums to {sum(self.sector_populations)}, "
-                f"expected n={self.n}"
-            )
-
-        split = self.cbap_split or _split_cbap(
-            self.cbap_slots, self.sector_populations, self.cbap_split_rule
-        )
-        object.__setattr__(self, "cbap_split", tuple(split))
-        if len(self.cbap_split) != self.q:
-            raise ConfigError(
-                f"cbap_split has {len(self.cbap_split)} entries, expected q={self.q}"
-            )
-        if any(c < 1 for c in self.cbap_split):
-            raise ConfigError("every sector service period must be >= 1 slot")
-        if sum(self.cbap_split) != self.cbap_slots:
-            raise ConfigError(
-                f"cbap_split sums to {sum(self.cbap_split)}, "
-                f"expected cbap_slots={self.cbap_slots}"
-            )
+    def _per_sector(self, name, total, below_one, derive, *args):
+        """Set ``name`` to its tuple, ``derive(total, *args)`` when empty, and
+        check that it has q entries, each >= 1, that sum to ``total``.  A q
+        above the total is refused before ``derive`` builds a list."""
+        value, whole = getattr(self, name), getattr(self, total)
+        if not value:
+            if self.q > whole:
+                raise ConfigError(below_one)
+            value = derive(whole, *args)
+        value = tuple(value)
+        object.__setattr__(self, name, value)
+        if len(value) != self.q:
+            raise ConfigError(f"{name} has {len(value)} entries, expected q={self.q}")
+        if any(v < 1 for v in value):
+            raise ConfigError(below_one)
+        if sum(value) != whole:
+            raise ConfigError(f"{name} sums to {sum(value)}, expected {total}={whole}")
 
 
-# the type of every parameter: the config-file parser and the finiteness
-# check read it
+# the type of every parameter, read by the config-file parser and the checks
 _FIELD_TYPES = {f.name: f.type for f in fields(ModelParams)}
+
+# the comparison and least value of each one-sided bound, in checking order
+_LEAST = {
+    "n": (">=", 1), "q": (">=", 1), "w0": (">=", 2), "bi_slots": (">=", 1),
+    **dict.fromkeys(("slot_time", "sifs", "difs", "rifs", "control_rate",
+                     "data_rate"), (">", 0)),
+    "phy_overhead": (">=", 0),
+    **dict.fromkeys(("rts_bytes", "cts_bytes", "ack_bytes", "msdu_bytes"), (">=", 1)),
+}
+
+
+def check_least(name, value):
+    """Refuse ``value`` below the least value of ``name``, or at a strict one."""
+    sign, least = _LEAST[name]
+    if value < least or (sign == ">" and value == least):
+        raise ConfigError(f"{name} must be {sign} {least}, got {value}")
 
 
 def _round_robin(n, q):
@@ -130,8 +128,7 @@ def _split_cbap(cbap_slots, populations, rule):
         return _round_robin(cbap_slots, len(populations))
     n = sum(populations)
     split = [cbap_slots * nk // n for nk in populations]
-    short = cbap_slots - sum(split)
-    for k in range(short):
+    for k in range(cbap_slots - sum(split)):
         split[k] += 1
     return split
 
@@ -168,8 +165,7 @@ def frame_airtime(num_bytes, rate, phy_overhead=0.0):
         raise ConfigError(f"frame size must be >= 1 byte, got {num_bytes}")
     if rate <= 0:
         raise ConfigError(f"rate must be > 0, got {rate}")
-    if phy_overhead < 0:
-        raise ConfigError("phy_overhead must be >= 0")
+    check_least("phy_overhead", phy_overhead)
     return phy_overhead + 8.0 * num_bytes / rate
 
 
@@ -206,6 +202,9 @@ def derive_timings(params):
         raise ConfigError(
             f"timings must satisfy t_suc > t_col > 0, got {t_suc} and {t_col}"
         )
+    if not math.isfinite(t_suc / params.slot_time):
+        raise ConfigError(f"a success exchange of {t_suc} s is not a finite "
+                          f"number of {params.slot_time} s slots")
     return TimingDurations(
         t_data=t_data,
         t_suc=t_suc,

@@ -3,13 +3,17 @@
 Full-size runs (10 seeds x 200 beacon intervals at the default timing) are
 expensive, and several test modules plus the acceptance gate share the same
 configurations, so the bank caches them per session and only simulates the
-configurations a given test actually requests.
+configurations a given test actually requests.  A test asks for all of its
+configurations at once, and the missing runs are built on every CPU this
+process may run on; each station has its own random stream, so neither the
+order nor the process changes a run.
 """
 
 import numpy as np
 import pytest
 
 from admac import derive_timings, empirical_report, make_params, run_simulation
+from admac.cli import _map
 
 SEEDS = tuple(range(10))
 NUM_BI = 200
@@ -60,21 +64,31 @@ def chain_states(widths):
     return states
 
 
+def _bank_run(task):
+    """One 200-BI run of a bank configuration (w0, n, cbap_fraction, q)."""
+    key, seed = task
+    params = bank_params(*key)
+    return run_simulation(params, derive_timings(params), seed, NUM_BI)
+
+
 class SimBank:
     """Cache of 10-seed, 200-BI runs keyed by (w0, n, cbap_fraction, q)."""
 
     def __init__(self):
         self._cache = {}
 
+    def prefetch(self, keys):
+        """Build the runs of every missing configuration in one pool of at
+        most one process per usable CPU, serially on one CPU."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        tasks = [(key, seed) for key in missing for seed in SEEDS]
+        runs = iter(_map(_bank_run, tasks, len(tasks)))
+        for key in missing:
+            self._cache[key] = tuple(next(runs) for _ in SEEDS)
+
     def runs(self, w0=7, n=10, cbap_fraction=0.4, q=1):
         key = (w0, n, cbap_fraction, q)
-        if key not in self._cache:
-            params = bank_params(w0, n, cbap_fraction, q)
-            timings = derive_timings(params)
-            self._cache[key] = tuple(
-                run_simulation(params, timings, seed, NUM_BI)
-                for seed in SEEDS
-            )
+        self.prefetch([key])
         return self._cache[key]
 
     def cached(self):

@@ -18,6 +18,9 @@ from conftest import SEEDS, bank_params, mean_sim_u, sim_delays_mean
 
 POPULATIONS = (10, 20, 30, 40, 50)
 WINDOWS = (7, 15, 31)
+# the bank configurations (w0, n, cbap_fraction, q) of criteria 2 and 5
+CROSSVAL_KEYS = [(w0, n, 0.4, 1) for w0 in WINDOWS for n in POPULATIONS]
+SHARE_KEYS = [(7, n, share, 1) for n in POPULATIONS for share in (0.4, 1.0)]
 
 
 def _line(num, name, ok, detail):
@@ -44,6 +47,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_throughput_cross_validation(sim_bank):
     start = time.perf_counter()
+    sim_bank.prefetch(CROSSVAL_KEYS)
     rows = []
     for w0 in WINDOWS:
         for n in POPULATIONS:
@@ -98,6 +102,7 @@ def test_criterion_4_delay_doubling(sim_bank):
     analytic_ratio = d_04 / d_10
     analytic_ok = 1.6 <= analytic_ratio <= 2.4
 
+    sim_bank.prefetch([(7, 50, 0.4, 1), (7, 50, 1.0, 1)])
     runs_04 = sim_bank.runs(w0=7, n=50, cbap_fraction=0.4)
     runs_10 = sim_bank.runs(w0=7, n=50, cbap_fraction=1.0)
     ratios = np.array([
@@ -119,6 +124,7 @@ def test_criterion_4_delay_doubling(sim_bank):
 def test_criterion_5_cbap_insensitivity(sim_bank):
     worst_analytic = 0.0
     worst_sim = 0.0
+    sim_bank.prefetch(SHARE_KEYS)
     for n in POPULATIONS:
         a_04 = analyze(bank_params(w0=7, n=n, cbap_fraction=0.4)).aggregate_u
         a_10 = analyze(bank_params(w0=7, n=n, cbap_fraction=1.0)).aggregate_u
@@ -164,11 +170,7 @@ def test_criterion_7_determinism_and_conservation(sim_bank, tmp_path):
     identical = out_a.read_bytes() == out_b.read_bytes()
 
     # make sure every simulated configuration behind criteria 2-5 is present
-    for w0 in WINDOWS:
-        for n in POPULATIONS:
-            sim_bank.runs(w0=w0, n=n, cbap_fraction=0.4)
-    for n in POPULATIONS:
-        sim_bank.runs(w0=7, n=n, cbap_fraction=1.0)
+    sim_bank.prefetch(CROSSVAL_KEYS + SHARE_KEYS)
 
     checked = 0
     violations = 0

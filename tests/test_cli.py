@@ -197,6 +197,78 @@ def test_non_finite_config_values_are_config_errors(line, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+# parameter sets that once ended in an OverflowError traceback: a rate or a
+# slot time so small that a success exchange is more slots than a float
+# holds, and integers past the largest float
+OVERFLOWING_EXCHANGES = ["control_rate = 1e-305", "data_rate = 1e-320",
+                         "slot_time = 1e-320"]
+OVERFLOWING_INTEGERS = ["msdu_bytes = 1" + "0" * 400, "bi_slots = 1" + "0" * 400]
+OVERFLOW_IDS = ["control-rate", "data-rate", "slot-time", "msdu-bytes",
+                "bi-slots"]
+
+
+@pytest.mark.parametrize("line", OVERFLOWING_EXCHANGES + OVERFLOWING_INTEGERS,
+                         ids=OVERFLOW_IDS)
+@pytest.mark.parametrize("command", [
+    ["solve"], ["simulate", "--seeds", "0", "--num-bi", "1"],
+], ids=["solve", "simulate"])
+def test_overflowing_parameter_is_config_error(command, line, tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(line + "\n")
+    assert main([*command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("line", OVERFLOWING_EXCHANGES, ids=OVERFLOW_IDS[:3])
+def test_sweep_keeps_an_error_row_for_an_overflowing_exchange(line, tmp_path):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--param", "n",
+                 "--values", "5,10", "--seeds", "0", "--num-bi", "1",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [(row["n"], row["mode"]) for row in rows] == [
+        ("5", "analytic"), ("5", "sim"), ("10", "analytic"), ("10", "sim")]
+    for row in rows:
+        assert row["u"] == ""
+        assert row["error"].startswith("a success exchange of ")
+        assert row["error"].endswith(" s slots")
+
+
+@pytest.mark.parametrize("line, name", [
+    (OVERFLOWING_INTEGERS[0], "msdu_bytes"), (OVERFLOWING_INTEGERS[1], "bi_slots"),
+], ids=OVERFLOW_IDS[3:])
+def test_sweep_refuses_a_base_integer_past_a_float(line, name, tmp_path, capsys):
+    # the sweep's provenance lines need the base parameters, as for any
+    # base configuration that cannot be built
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["sweep", "--config", str(cfg), "--param", "n",
+                 "--values", "5,10", "--mode", "analytic"]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: {name} must be finite, got an integer of 1329 bits\n"
+
+
+NO_STATION = "every sector must hold at least one station"
+NO_SLOT = "every sector service period must be >= 1 slot"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--n", "3", "--q", "4"], NO_STATION),
+    (["simulate", "--n", "3", "--q", "4", "--seeds", "0"], NO_STATION),
+    # a 4-slot interval, all of it contention, over five sectors
+    (["solve", "--q", "5", "--bi-ms", "0.02", "--cbap-fraction", "1"],
+     NO_SLOT),
+], ids=["solve-above-n", "simulate-above-n", "above-cbap-slots"])
+def test_sector_count_above_what_it_divides_is_config_error(
+        argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 SOLVE_DIGEST = (
     "2ce18c3bf871d01deed8d30b9325ff7b88cfe699d355348d9bc60e4be3cc0853")
 
@@ -272,13 +344,19 @@ def test_solve_row_prints_the_reports_network_values(tmp_path):
     assert row["drop_prob"] == repr(report.drop_prob)
 
 
-@pytest.mark.parametrize("slot_time", ["0", "-5e-6"])
+@pytest.mark.parametrize("slot_time, shown", [("0", "0.0"), ("-5e-6", "-5e-06")],
+                         ids=["0", "-5e-6"])
 def test_beacon_length_at_a_slot_time_of_zero_or_less_is_config_error(
-        slot_time, tmp_path, capsys):
+        slot_time, shown, tmp_path, capsys):
+    # the text ModelParams gives for the same slot time
     cfg = tmp_path / "slot.cfg"
     cfg.write_text(f"slot_time = {slot_time}\n")
     assert main(["solve", "--config", str(cfg), "--bi-ms", "100"]) == 1
-    assert capsys.readouterr().err == "config error: slot_time must be > 0\n"
+    assert capsys.readouterr().err == \
+        f"config error: slot_time must be > 0, got {shown}\n"
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: slot_time must be > 0, got {shown}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from admac import (ConfigError, InfeasibleModelError, TimingDurations,
                    derive_sector_models, derive_timings, frame_airtime,
                    make_params, parse_config_file, slot_quantized,
                    window_sizes)
+from admac import config
 
 MICRO = 1e-6
 
@@ -217,6 +218,81 @@ def test_make_params_rejects_non_finite_floats(name, value):
     # NaN passes every ``<= 0`` check, and an infinite rate makes u = 0
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         make_params(**{name: value})
+
+
+# each one-sided bound, at the value just below its least value or at 0
+# for the strict ones
+BOUND_PINS = [
+    ("n", 0, "n must be >= 1, got 0"),
+    ("q", 0, "q must be >= 1, got 0"),
+    ("w0", 1, "w0 must be >= 2, got 1"),
+    ("bi_slots", 0, "bi_slots must be >= 1, got 0"),
+    ("slot_time", 0.0, "slot_time must be > 0, got 0.0"),
+    ("sifs", 0.0, "sifs must be > 0, got 0.0"),
+    ("difs", 0.0, "difs must be > 0, got 0.0"),
+    ("rifs", 0.0, "rifs must be > 0, got 0.0"),
+    ("control_rate", 0.0, "control_rate must be > 0, got 0.0"),
+    ("data_rate", 0.0, "data_rate must be > 0, got 0.0"),
+    ("phy_overhead", -5e-324, "phy_overhead must be >= 0, got -5e-324"),
+    ("rts_bytes", 0, "rts_bytes must be >= 1, got 0"),
+    ("cts_bytes", 0, "cts_bytes must be >= 1, got 0"),
+    ("ack_bytes", 0, "ack_bytes must be >= 1, got 0"),
+    ("msdu_bytes", 0, "msdu_bytes must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BOUND_PINS,
+                         ids=[pin[0] for pin in BOUND_PINS])
+def test_make_params_bound_messages_are_pinned(name, value, message):
+    with pytest.raises(ConfigError) as err:
+        make_params(**{name: value})
+    assert str(err.value) == message
+
+
+def test_bound_pins_cover_every_one_sided_bound():
+    assert [pin[0] for pin in BOUND_PINS] == list(config._LEAST)
+
+
+@pytest.mark.parametrize("name", ["n", "bi_slots", "cbap_slots",
+                                  "rts_bytes", "msdu_bytes"])
+def test_make_params_refuses_an_integer_past_a_float(name):
+    # 2**1024 - 2**970 is the least integer that rounds past the largest float
+    assert make_params(msdu_bytes=2 ** 1024 - 2 ** 970 - 1).msdu_bytes > 0
+    with pytest.raises(ConfigError) as err:
+        make_params(**{name: 2 ** 1024 - 2 ** 970})
+    assert str(err.value) == f"{name} must be finite, got an integer of 1024 bits"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("control_rate", 1e-305), ("data_rate", 1e-320), ("slot_time", 1e-320),
+])
+def test_derive_timings_refuses_an_exchange_of_more_slots_than_a_float(
+        name, value):
+    params = make_params(**{name: value})
+    with pytest.raises(ConfigError, match="is not a finite number of .* s slots$"):
+        derive_timings(params)
+
+
+def test_sector_count_above_stations_is_refused_before_any_list(monkeypatch):
+    def never(*args):
+        raise AssertionError("_round_robin called")
+
+    monkeypatch.setattr(config, "_round_robin", never)
+    with pytest.raises(ConfigError,
+                       match="^every sector must hold at least one station$"):
+        make_params(n=10, q=10 ** 18)
+
+
+def test_sector_count_above_contention_slots_is_refused_before_the_split(
+        monkeypatch):
+    def never(*args):
+        raise AssertionError("_split_cbap called")
+
+    monkeypatch.setattr(config, "_split_cbap", never)
+    for rule in config.SPLIT_RULES:
+        with pytest.raises(ConfigError, match="^every sector service period "
+                                              "must be >= 1 slot$"):
+            make_params(n=10, q=5, cbap_slots=4, cbap_split_rule=rule)
 
 
 def test_parse_config_file_roundtrip(tmp_path):

@@ -381,6 +381,7 @@ def test_coupling_tracks_exact_two_station_chain(w0, m):
 def test_four_sectors_beat_one_empirically(sim_bank):
     params_1 = bank_params(w0=7, n=40, cbap_fraction=0.4, q=1)
     params_4 = bank_params(w0=7, n=40, cbap_fraction=0.4, q=4)
+    sim_bank.prefetch([(7, 40, 0.4, 1), (7, 40, 0.4, 4)])
     u_1 = mean_sim_u(sim_bank.runs(w0=7, n=40, cbap_fraction=0.4, q=1),
                      params_1)
     u_4 = mean_sim_u(sim_bank.runs(w0=7, n=40, cbap_fraction=0.4, q=4),
