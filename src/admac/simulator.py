@@ -22,60 +22,36 @@ slots: the buckets up to ``edge = clock + gap`` are emptied, zeros go to
 in an overflow list, which moves into the ring at each window start: one
 window advances the clock by at most its length, so no waiting station
 comes due inside it, and memory does not grow with ``W_m``.  Each station
-draws from its own Philox stream, so the order inside a bucket cannot
-change a result.  numpy is imported inside the functions that use it, so
-the analytic path never loads it.
+draws from its own MT19937 stream (``random.Random``), so the order inside
+a bucket cannot change a result.  Delays are counted in slots, and no
+numpy is loaded.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
+from random import Random
 
 from .config import derive_sector_models, window_sizes
 from .errors import ConfigError
 from .metrics import PerformanceReport, aggregate_utilization
 
-# doubles per station: a first chunk, then each chunk twice the last up to
-# a cap, so a station that draws d doubles generates at most 2d + 64
-_FIRST_DRAWS = 64
-_REFILL_DRAWS = 512
 MAX_STATIONS = 1 << 20  # stream key (seed << 20) + station id stays unique
-MAX_SEED = 1 << 108  # and fits the 128-bit Philox key
 
 
 def _streams(seed, station_ids):
-    """The ``next`` of each station's stream of uniform doubles, in order.
+    """The ``random`` of each station's stream of uniform doubles, in order.
 
-    Station ``sid`` reads the doubles of ``Generator(Philox(key=(seed << 20)
-    + sid))``.  One generator serves all stations: each chunk re-keys its
-    bit generator's state, with the block counter at the draws already
-    taken (a Philox block holds four doubles).
+    Station ``sid`` reads ``Random((seed << 20) + sid)``, CPython's MT19937
+    seeded from the key's bits; its sequence for an int seed is the same on
+    every Python version.
     """
-    import numpy as np
-
-    bitgen = np.random.Philox(0)  # every chunk sets the whole state
-    random = np.random.Generator(bitgen).random
-
-    def chunks(key):
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": [0, 0, 0, 0],
-                           "key": [key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64]},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        size, taken = _FIRST_DRAWS, 0
-        while True:
-            state["state"]["counter"][0] = taken >> 2
-            bitgen.state = state
-            yield random(size).tolist()
-            taken += size
-            size = min(2 * size, _REFILL_DRAWS)
-
-    return [chain.from_iterable(chunks((seed << 20) + sid)).__next__
-            for sid in station_ids]
+    return [Random((seed << 20) + sid).random for sid in station_ids]
 
 
 @dataclass(frozen=True)
 class SimStats:
-    """Per-sector counters and success-conditioned delays of one run."""
+    """Per-sector counters of one run; ``delays`` holds each sector's tuple
+    of per-packet delays in slots, from enqueue to the end of the success."""
 
     num_bi: int
     sector_cbap_slots: tuple
@@ -90,8 +66,6 @@ class SimStats:
 
 def run_simulation(params, timings, seed, num_bi=200):
     """Simulate ``num_bi`` beacon intervals; deterministic in ``seed``."""
-    import numpy as np
-
     if num_bi < 1:
         raise ConfigError(f"num_bi must be >= 1, got {num_bi}")
     if params.n > MAX_STATIONS:
@@ -99,10 +73,10 @@ def run_simulation(params, timings, seed, num_bi=200):
             f"n must be <= {MAX_STATIONS} (2**20) so that per-station RNG "
             f"streams stay distinct across seeds, got {params.n}"
         )
-    if not 0 <= seed < MAX_SEED:
+    if seed < 0:
         raise ConfigError(
-            f"seed must be in [0, 2**108) so that the stream key "
-            f"(seed << 20) + station id fits Philox's 128 bits, got {seed}"
+            f"seed must be >= 0: a stream is seeded from the absolute value "
+            f"of its key (seed << 20) + station id, got {seed}"
         )
     derive_sector_models(params, timings)  # validates window vs frame fit
     streams = _streams(seed, range(params.n))
@@ -111,10 +85,9 @@ def run_simulation(params, timings, seed, num_bi=200):
     m = params.m
     nf = timings.n_frame_slots
     nc = timings.n_col_slots
-    sigma = params.slot_time
 
     successes, collisions, idles = [], [], []
-    drops_all, attempts_all, delay_arrays = [], [], []
+    drops_all, attempts_all, delays_all = [], [], []
     first = 0
     # the sector windows run back to back from the start of each interval
     for start, length, n_k in zip(accumulate(params.cbap_split, initial=0),
@@ -224,7 +197,7 @@ def run_simulation(params, timings, seed, num_bi=200):
         idles.append(clock)
         drops_all.append(n_drop)
         attempts_all.append(n_suc + n_collided)
-        delay_arrays.append(np.asarray(delays, dtype=np.float64) * sigma)
+        delays_all.append(tuple(delays))
 
     return SimStats(
         num_bi=num_bi,
@@ -235,25 +208,26 @@ def run_simulation(params, timings, seed, num_bi=200):
         dropped=tuple(drops_all),
         attempts=tuple(attempts_all),
         payload_time=tuple(s * timings.t_data for s in successes),
-        delays=tuple(delay_arrays),
+        delays=tuple(delays_all),
     )
 
 
 def empirical_report(stats, params):
-    """Map run counters to utilization, delay, and drop statistics."""
-    import numpy as np
+    """Map run counters to utilization, delay, and drop statistics.
 
+    Each mean delay is the exact integer total of its slots times
+    ``slot_time``, over the packet count.
+    """
     sigma = params.slot_time
     us, delays, drops = [], [], []
     for k, cbap_k in enumerate(stats.sector_cbap_slots):
         window_time = cbap_k * sigma * stats.num_bi
         us.append(stats.payload_time[k] / window_time)
-        delays.append(
-            float(np.mean(stats.delays[k])) if stats.delays[k].size else None
-        )
+        sector = stats.delays[k]
+        delays.append(sum(sector) * sigma / len(sector) if sector else None)
         finished = stats.successes[k] + stats.dropped[k]
         drops.append(stats.dropped[k] / finished if finished else None)
-    delivered = np.concatenate(stats.delays)
+    delivered = sum(map(len, stats.delays))
     finished = sum(stats.successes) + sum(stats.dropped)
     return PerformanceReport(
         per_sector_u=tuple(us),
@@ -261,7 +235,8 @@ def empirical_report(stats, params):
             list(zip(us, stats.sector_cbap_slots))
         ),
         per_sector_delay=tuple(delays),
-        mean_delay=float(np.mean(delivered)) if delivered.size else None,
+        mean_delay=(sum(map(sum, stats.delays)) * sigma / delivered
+                    if delivered else None),
         per_sector_drop_prob=tuple(drops),
         drop_prob=sum(stats.dropped) / finished if finished else None,
         diagnostics=(),

@@ -37,9 +37,10 @@ def mean_sim_u(runs, params):
 
 
 def sim_delays_mean(stats):
-    """All-packet mean delay of one run, None when nothing succeeded."""
-    delays = np.concatenate(stats.delays)
-    return float(delays.mean()) if delays.size else None
+    """All-packet mean delay of one run in slots, None when nothing
+    succeeded."""
+    delivered = sum(map(len, stats.delays))
+    return sum(map(sum, stats.delays)) / delivered if delivered else None
 
 
 def tau_hat(stats, n_k, sector=0):

@@ -415,7 +415,7 @@ def test_multi_sector_simulate_stdout_bytes_are_pinned(capsys):
                  "--num-bi", "5"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == (
-        "cc146d723dce9b355169516f4fde8c8a02c03e2bb440276b210861416eee307c")
+        "8736e4043f7e4bd4bb6f0f45b03a1d533639a6903acd53f72ef59d9147d5141a")
 
 
 def test_simulate_row_prints_the_reports_network_values(tmp_path):
@@ -520,10 +520,10 @@ def test_sweep_rejects_bad_value_text(capsys):
 @pytest.mark.parametrize("argv, digest", [
     (["--param", "n", "--values", "4,6", "--mode", "both", "--seeds", "0-1",
       "--num-bi", "3", "--cbap-fraction", "0.4"],
-     "46ec255ad39ce04644d313e2e71d511ea956625a5e9960c2be68b1d0ca9af220"),
+     "42bff2bb93b38f708c3de4c5af1dd5156f452b79775635d06dfe3b4edbb4a3c8"),
     (["--param", "cbap_fraction", "--values", "0.0005,0.4", "--mode", "both",
       "--n", "5", "--seeds", "0", "--num-bi", "3"],
-     "80667927de562698f576aa8918d95b3b55143b39941d399d98efdf24d286db6f"),
+     "f8f3fa93efdb13bd4fdc4ea58955c3459e0222f67ce1483a43beacd8a20b51a7"),
 ], ids=["population", "share-with-infeasible-row"])
 def test_sweep_stdout_bytes_are_pinned(argv, digest, capsys):
     assert main(["sweep", *argv]) == 0
@@ -796,8 +796,8 @@ def write_sim_csv(path, digest):
 
 
 def test_analytic_and_compare_paths_do_not_import_numpy(tmp_path):
-    # numpy serves only the simulator and the oracle; importing it costs
-    # more than the rest of the package's start-up
+    # numpy serves only the oracle; importing it costs more than the rest
+    # of the package's start-up
     analytic, sim = tmp_path / "a.csv", tmp_path / "s.csv"
     write_sim_csv(sim, config_hash(make_params(n=10, cbap_slots=8000)))
     script = (
@@ -820,6 +820,18 @@ def run_and_list_modules(script, modules):
     proc = run_python("-c", "import sys\n" + script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def test_simulate_and_sim_sweep_do_not_import_numpy():
+    # each station draws from the standard library's random.Random
+    script = (
+        "from admac import cli\n"
+        "assert cli.main(['simulate', '--n', '10', '--seeds', '0-1',"
+        " '--num-bi', '2']) == 0\n"
+        "assert cli.main(['sweep', '--param', 'n', '--values', '4,6',"
+        " '--mode', 'sim', '--seeds', '0-1', '--num-bi', '2']) == 0\n"
+    )
+    assert run_and_list_modules(script, ("numpy",)) == "[]"
 
 
 def test_solve_and_compare_load_no_pool_simulator_or_oracle(tmp_path):
