@@ -28,8 +28,8 @@ _EXPORTS = {
                "steady_state_vector", "tau_of"),
     "chain": ("DEFAULT_GRID", "ExplicitChain", "build_chain", "raw_sector",
               "stationary_distribution", "validation_report"),
-    "metrics": ("PerformanceReport", "aggregate_utilization", "analyze",
-                "expected_delay", "sector_utilization", "sigma_avg"),
+    "metrics": ("PerformanceReport", "analyze", "expected_delay",
+                "sector_utilization", "service_weighted_mean", "sigma_avg"),
     "simulator": ("SimStats", "empirical_report", "run_simulation"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

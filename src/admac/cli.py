@@ -1,7 +1,8 @@
 """Command-line front end: solve, simulate, sweep, validate, compare.
 
-All outputs are CSV with the effective configuration echoed as ``#``
-comment lines for provenance.  Row schema (stable):
+Every output but ``validate``'s fixed-width table is CSV, with ``#``
+comment lines for provenance: the effective configuration, or the two
+files ``compare`` joined.  Row schema (stable):
 
     config_hash, seed, n, q, w0, m, cbap_fraction, u_sectors, u,
     mean_delay_s, drop_prob, num_bi

@@ -227,7 +227,9 @@ class CoupledSolution:
     ``p_after_idle``; a zero drawn right after the station's own collision
     collides with ``p_after_collision``; a zero drawn right after its own
     success never collides.  ``alpha`` is the per-station chance of reaching
-    zero on an idle slot, the unknown of the fixed point.
+    zero on an idle slot, the unknown of the fixed point.  A delivered
+    packet counts down ``backoff_ticks`` idle slots and meets
+    ``collisions_before_success`` collisions on average.
     """
 
     tau: float
@@ -237,6 +239,8 @@ class CoupledSolution:
     p_after_idle: float
     p_after_collision: float
     drop_prob: float
+    backoff_ticks: float
+    collisions_before_success: float
     steps: SlotProbabilities
     iterations: int
     residual: float
@@ -261,11 +265,13 @@ def _packet_walk(p_idle, widths):
     the draw follows the station's own success, so a zero there never
     collides, except after a drop, when the next packet starts at zero
     straight after the collision.  The terms of ``p_idle`` alone are taken
-    here, once.  Returns two functions of the after-collision odds: the
+    here, once.  Returns three functions of the after-collision odds: the
     chance ``zero_share`` that a station leaving a collision transmits again
-    at once, and the whole ``_PacketCycle``.  A packet reaches stage i + 1
-    with the collided share of stage i.  Every sum runs in stage order from
-    its stage-0 term, the float that 0.0 plus that term gives.
+    at once, the whole ``_PacketCycle``, and ``delivered_counts``, the mean
+    counter ticks and collisions of a delivered packet before its success.
+    A packet reaches stage i + 1 with the collided share of stage i.  Every
+    sum runs in stage order from its stage-0 term, the float that 0.0 plus
+    that term gives.
     """
     head = p_idle * (widths[0] - 1) / widths[0]
     zero_next = [1.0 / w for w in widths[1:]] + [1.0]
@@ -310,7 +316,24 @@ def _packet_walk(p_idle, widths):
             zero_share=weighted / total if total > 0.0 else 0.0,
         )
 
-    return zero_share, cycle
+    def delivered_counts(p_zero):
+        # a packet starts with a fresh stage-0 draw, also after a drop;
+        # ``spent`` holds the ticks of the stages it collided at
+        stage_p, _, _ = stage_odds(p_zero)
+        reach, spent = 1.0, 0.0
+        share = ticks = collisions = 0.0
+        for i, (odds_i, w) in enumerate(zip([head, *stage_p], widths)):
+            drawn = reach * (w - 1) / 2.0
+            success = reach * (1.0 - odds_i)
+            share += success
+            ticks += spent * (1.0 - odds_i) + drawn * (1.0 - p_idle)
+            collisions += i * success
+            spent = spent * odds_i + drawn * p_idle
+            reach *= odds_i
+        # a stage-0 zero draw never collides: share >= 1 / W_0
+        return ticks / share, collisions / share
+
+    return zero_share, cycle, delivered_counts
 
 
 def _after_collision(alpha, n_k):
@@ -348,7 +371,7 @@ def _coupled_cycle(alpha, n_k, widths):
     cycle at them.  Each pass walks the zero share alone; the whole packet
     is walked once, at the settled odds."""
     p_idle, odds = _after_collision(alpha, n_k)
-    zero_share, cycle = _packet_walk(p_idle, widths)
+    zero_share, cycle, _ = _packet_walk(p_idle, widths)
     p_zero = 0.0
     for _ in range(MAX_ITER):
         nxt = odds(zero_share(p_zero))
@@ -360,8 +383,8 @@ def _coupled_cycle(alpha, n_k, widths):
     )
 
 
-def _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, residual):
-    """Count the channel steps of one packet cycle and split them by outcome.
+def _solution(alpha, n_k, p_idle, p_zero, widths, iterations, residual):
+    """Walk one packet at the settled odds and split its steps by outcome.
 
     One packet cycle of a station spans ``cycle.decrements`` idle slots.
     Collisions are counted as collided attempts over their mean size: a
@@ -370,6 +393,8 @@ def _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, residual):
     after a collision holds the station and the co-colliders that drew
     zero too.
     """
+    _, cycle_at, counts_at = _packet_walk(p_idle, widths)
+    cycle = cycle_at(p_zero)
     idle = cycle.decrements
     delivered = 1.0 - cycle.drop_prob
     successes = n_k * delivered
@@ -395,11 +420,13 @@ def _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, residual):
         po_suc=other_suc / seen if n_k > 1 else 0.0,
         po_col=other_col / seen if n_k > 1 else 0.0,
     )
+    ticks, collided = counts_at(p_zero)
     return CoupledSolution(
         tau=cycle.attempts / total, p=own_collided / cycle.attempts,
         p_b=1.0 - steps.po_idle, alpha=alpha, p_after_idle=p_idle,
-        p_after_collision=p_zero, drop_prob=cycle.drop_prob, steps=steps,
-        iterations=iterations, residual=residual,
+        p_after_collision=p_zero, drop_prob=cycle.drop_prob,
+        backoff_ticks=ticks, collisions_before_success=collided,
+        steps=steps, iterations=iterations, residual=residual,
     )
 
 
@@ -419,8 +446,7 @@ def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling"):
         raise ConfigError(f"n_k must be >= 1, got {n_k}")
     widths = window_sizes(w0, m, window_rule)
     if n_k == 1:
-        _, cycle = _packet_walk(0.0, widths)
-        return _solution(0.0, 1, 0.0, 0.0, cycle(0.0), 0, 0.0)
+        return _solution(0.0, 1, 0.0, 0.0, widths, 0, 0.0)
     if m == 0:
         raise InfeasibleModelError(
             "m=0 with two or more stations per sector: colliding stations "
@@ -434,9 +460,8 @@ def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling"):
 
     def residual(alpha):
         p_idle, p_zero, cycle = _coupled_cycle(alpha, n_k, widths)
-        return (cycle.idle_attempts / cycle.decrements - alpha,
-                p_idle, p_zero, cycle)
+        return cycle.idle_attempts / cycle.decrements - alpha, p_idle, p_zero
 
-    alpha, iterations, (g, p_idle, p_zero, cycle) = _bisect(
+    alpha, iterations, (g, p_idle, p_zero) = _bisect(
         residual, TAU_EPS, 1.0 - TAU_EPS, "idle-slot coupling")
-    return _solution(alpha, n_k, p_idle, p_zero, cycle, iterations, abs(g))
+    return _solution(alpha, n_k, p_idle, p_zero, widths, iterations, abs(g))

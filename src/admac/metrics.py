@@ -1,17 +1,18 @@
 """Channel utilization and MAC delay from a coupled operating point.
 
 Utilization weighs the payload airtime of successful steps against the
-real-time cost of idle, success, and collision steps; delay sums the
-per-stage service time over the stages at which packets are delivered.
-Real time enters through the mean embedded-step duration ``sigma_avg``,
-which charges each step its share of the out-of-period gap.  ``analyze``
-charges busy steps the slot-quantized durations the simulator charges.
+real-time cost of idle, success, and collision steps; delay prices the
+backoff ticks and collisions that the coupled solution counts for a
+delivered packet.  Real time enters through the mean embedded-step
+duration ``sigma_avg``, which charges each step its share of the
+out-of-period gap.  ``analyze`` charges busy steps the slot-quantized
+durations the simulator charges, and weights every network value by
+service period.
 """
 
 from dataclasses import dataclass
 
-from .config import (derive_sector_models, derive_timings, slot_quantized,
-                     window_sizes)
+from .config import derive_sector_models, derive_timings, slot_quantized
 from .errors import InfeasibleModelError
 from .markov import solve_idle_slot_coupling
 from .numeric import left_sum
@@ -46,14 +47,14 @@ def sector_utilization(sp, timings, slot_time):
     return sp.p_suc * timings.t_data / busy
 
 
-def aggregate_utilization(per_sector):
-    """Service-period-weighted mean of (u_k, cbap_k_slots) pairs."""
-    total = sum(c for _, c in per_sector)
+def service_weighted_mean(values, weights):
+    """Mean of per-sector values weighted by their service periods."""
+    total = sum(weights)
     if total <= 0:
         raise InfeasibleModelError("aggregate needs positive service periods")
-    if len(per_sector) == 1:
-        return per_sector[0][0]  # u * c / c can be one ulp off u
-    return left_sum(u * c for u, c in per_sector) / total
+    if len(values) == 1:
+        return values[0]  # v * c / c can be one ulp off v
+    return left_sum(v * c for v, c in zip(values, weights)) / total
 
 
 def sigma_avg(sp, timings, sector, params):
@@ -78,16 +79,10 @@ def sigma_avg(sp, timings, sector, params):
 def expected_delay(sol, timings, sector, params):
     """Mean MAC delay of packets that are eventually delivered.
 
-    ``sol`` is the sector's ``CoupledSolution``.  A packet delivered at
-    stage i costs i collisions, one success, and the backoff counted down
-    at stages 0..i, each counter tick lasting sigma_avg of ``sol.steps``
-    over the decrement probability.  A zero draw transmits at once: at
-    stage 0 it follows the station's own success and never collides, and
-    at a later stage it follows its own collision and collides at
-    ``p_after_collision``.  Any other draw of a width-W window counts down
-    W/2 ticks on average, and its attempt collides at ``p_after_idle``.
-    Every packet starts with a stage-0 draw: the restart at counter 0 that
-    follows a drop is left out of the delay.
+    ``sol`` is the sector's ``CoupledSolution``, which counts the backoff
+    ticks and the collisions of a delivered packet before its success.  A
+    tick lasts sigma_avg of ``sol.steps`` over the decrement probability,
+    and each collision and the success last their exchange times.
     """
     advance = 1.0 - sol.p_b - sector.p_h
     if advance <= 0.0:
@@ -95,28 +90,9 @@ def expected_delay(sol, timings, sector, params):
             f"saturation leaves no decrement probability: p_b={sol.p_b}, "
             f"p_h={sector.p_h}"
         )
-    widths = window_sizes(params.w0, params.m, params.window_rule)
     tick = sigma_avg(sol.steps, timings, sector, params) / advance
-    p_idle = sol.p_after_idle
-    reach = 1.0      # chance the packet gets to the stage
-    spent = 0.0      # backoff time spent before the stage, times reach
-    delivered = 0.0
-    delay = 0.0
-    for i, w in enumerate(widths):
-        counted = (w - 1.0) / w
-        zero_odds = sol.p_after_collision if i else 0.0
-        collide = counted * p_idle + zero_odds / w
-        ticks = w / 2.0 * tick
-        success = reach * (1.0 - collide)
-        delivered += success
-        delay += (spent * (1.0 - collide)
-                  + reach * counted * (1.0 - p_idle) * ticks
-                  + success * (i * timings.t_col + timings.t_suc))
-        spent = spent * collide + reach * counted * p_idle * ticks
-        reach *= collide
-    if delivered <= 0.0:
-        raise InfeasibleModelError("no packet is ever delivered")
-    return delay / delivered
+    return (sol.backoff_ticks * tick
+            + sol.collisions_before_success * timings.t_col + timings.t_suc)
 
 
 def analyze(params):
@@ -138,13 +114,12 @@ def analyze(params):
         drops.append(sol.drop_prob)
         sols.append(sol)
     weights = [s.cbap_k_slots for s in sectors]
-    total = sum(weights)
     return PerformanceReport(
         per_sector_u=tuple(us),
-        aggregate_u=aggregate_utilization(list(zip(us, weights))),
+        aggregate_u=service_weighted_mean(us, weights),
         per_sector_delay=tuple(delays),
-        mean_delay=left_sum(d * c for d, c in zip(delays, weights)) / total,
+        mean_delay=service_weighted_mean(delays, weights),
         per_sector_drop_prob=tuple(drops),
-        drop_prob=left_sum(d * c for d, c in zip(drops, weights)) / total,
+        drop_prob=service_weighted_mean(drops, weights),
         diagnostics=tuple(sols),
     )

@@ -33,7 +33,7 @@ from random import Random
 
 from .config import derive_sector_models, window_sizes
 from .errors import ConfigError
-from .metrics import PerformanceReport, aggregate_utilization
+from .metrics import PerformanceReport, service_weighted_mean
 
 MAX_STATIONS = 1 << 20  # stream key (seed << 20) + station id stays unique
 
@@ -231,9 +231,7 @@ def empirical_report(stats, params):
     finished = sum(stats.successes) + sum(stats.dropped)
     return PerformanceReport(
         per_sector_u=tuple(us),
-        aggregate_u=aggregate_utilization(
-            list(zip(us, stats.sector_cbap_slots))
-        ),
+        aggregate_u=service_weighted_mean(us, stats.sector_cbap_slots),
         per_sector_delay=tuple(delays),
         mean_delay=(sum(map(sum, stats.delays)) * sigma / delivered
                     if delivered else None),

@@ -270,7 +270,7 @@ def test_sector_count_above_what_it_divides_is_config_error(
 
 
 SOLVE_DIGEST = (
-    "2ce18c3bf871d01deed8d30b9325ff7b88cfe699d355348d9bc60e4be3cc0853")
+    "4cec1d1cf58197051ed501f6947ecb21f1f83a09a2358b9715d11f78cd3195ee")
 
 
 def test_solve_stdout_bytes_are_pinned(capsys):
@@ -283,7 +283,7 @@ def test_solve_stdout_bytes_are_pinned(capsys):
 
 THREE_SECTORS = ["--n", "7", "--q", "3", "--cbap-fraction", "0.5"]
 THREE_SECTORS_DIGEST = (
-    "1458d24c49e3fa54d644e2e15ae492df6e7b7902dba7cfd4b1aaac14a82d7d7b")
+    "cad1f311ca9425f239137b111c2e02f2025b165a726fadf526a094991d2353a4")
 
 
 def test_multi_sector_solve_stdout_bytes_are_pinned(capsys):
@@ -323,7 +323,7 @@ def compensated_sum(values):
     (THREE_SECTORS, THREE_SECTORS_DIGEST),
     # u reads 0.2707226255738779, and ...83 where sum compensates
     (["--n", "50", "--cbap-fraction", "0.4"],
-     "5c0b2923442cb66d51bb7301303ebadcd488a3e7e862ffdf5d09c60028d81b93"),
+     "cc40a3f4b701656fcf24d20eb572156801d20c983bb6ce63dbda0641cf7d2d26"),
 ], ids=["one-sector", "three-sectors", "fifty-stations"])
 def test_solve_bytes_do_not_follow_the_pythons_float_sum(
         argv, digest, monkeypatch, capsys):
@@ -520,10 +520,10 @@ def test_sweep_rejects_bad_value_text(capsys):
 @pytest.mark.parametrize("argv, digest", [
     (["--param", "n", "--values", "4,6", "--mode", "both", "--seeds", "0-1",
       "--num-bi", "3", "--cbap-fraction", "0.4"],
-     "42bff2bb93b38f708c3de4c5af1dd5156f452b79775635d06dfe3b4edbb4a3c8"),
+     "d484e28df7abc4e938d9fd22ae832ec0b9dc97f92ec3a4d658b40abbb58e8702"),
     (["--param", "cbap_fraction", "--values", "0.0005,0.4", "--mode", "both",
       "--n", "5", "--seeds", "0", "--num-bi", "3"],
-     "f8f3fa93efdb13bd4fdc4ea58955c3459e0222f67ce1483a43beacd8a20b51a7"),
+     "6d97812f6500f32fda7738546540e7d154121833e961d6e9a8442344bfe1837a"),
 ], ids=["population", "share-with-infeasible-row"])
 def test_sweep_stdout_bytes_are_pinned(argv, digest, capsys):
     assert main(["sweep", *argv]) == 0

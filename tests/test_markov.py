@@ -370,11 +370,11 @@ def coupling_outcome(n_k, w0, m, rule):
 
 
 COUPLING_PINS = {
-    0: "9e41120c4c6b84b6122660e25065b9e7f06e83e4243d02f349952c46e7936e5a",
-    1: "712c7ff8a769c7f1b590fccc26ef42c27a01c0d6506e4b11ccfe5718f01ece44",
-    2: "d4c5a8173422008592bcc195e9f9f581ca1d6510130aadb4df25ebb4efee26e3",
-    5: "0b68386319e94e3a69509db54169eb4daea5623c95f7712f3df80ed24ea6e2cf",
-    7: "9adfaebf928593930d102d2b6fd456b174002c4daee7201b2f3c3dfc55844198",
+    0: "dc5c906f17186cb780bce82151bf6fb52b1b5c5ab7beafadee72a6cf8c64fcf8",
+    1: "60711974dd1ba397b9cd6543e7d9ae7623d0de0c72a4f745f5256e926e6b29d2",
+    2: "207fbd5efa71332868eb3274c11516346e9351cd2f83ebd4e55f9b0cf0838f0a",
+    5: "765f01b02224c67ad9ef02c182f5d94454cd520c1eb7f428aee380e368d1c147",
+    7: "6d12038d84506ce51f566ff4c029aa5f5527441b282c76ec52b9ff3afc76faf7",
 }
 
 
@@ -387,6 +387,50 @@ def test_coupled_solutions_are_pinned(m):
              for rule in PIN_RULES for w0 in PIN_W0 for n_k in PIN_N_K]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == COUPLING_PINS[m]
+
+
+# --- delivered-packet counts ---
+
+def delivered_counts(p_idle, p_zero, widths):
+    """The walk's (backoff ticks, collisions) of a delivered packet."""
+    _, _, delivered = _packet_walk(p_idle, widths)
+    return delivered(p_zero)
+
+
+@pytest.mark.parametrize("m", sorted(COUPLING_PINS))
+def test_lone_station_counts_half_its_first_window(m):
+    # alone, a packet counts down (W0 - 1)/2 ticks on average and never
+    # collides
+    for rule in PIN_RULES:
+        for w0 in PIN_W0:
+            sol = solve_idle_slot_coupling(1, w0, m, window_rule=rule)
+            first = window_sizes(w0, m, rule)[0]
+            assert sol.backoff_ticks == (first - 1) / 2
+            assert sol.collisions_before_success == 0.0
+
+
+def test_collision_free_walk_counts_half_the_window():
+    ticks, collisions = delivered_counts(0.0, 0.0, window_sizes(16, 3))
+    assert ticks == pytest.approx(7.5, rel=1e-13)
+    assert collisions == 0.0
+
+
+def test_single_retry_stage_counts_ignore_collision_probability():
+    # m = 0: no attempt follows the station's own collision, so the counts
+    # never read p_after_collision
+    lo, hi = (delivered_counts(0.5, odds, (8,)) for odds in (0.1, 0.9))
+    assert lo == pytest.approx(hi, rel=1e-15)
+
+
+def test_single_stage_counts_hand_formula():
+    # m = 0: a packet is delivered on its first attempt or dropped.  A zero
+    # draw follows the station's own success and never collides; any other
+    # draw counts down w/2 ticks on average and collides at p_after_idle.
+    ticks, collisions = delivered_counts(0.5, 0.2, (8,))
+    counted = 7.0 / 8.0
+    delivered = 1.0 - counted * 0.5
+    assert ticks == pytest.approx(counted * 0.5 * 4.0 / delivered, rel=1e-13)
+    assert collisions == 0.0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -412,7 +456,7 @@ def coupled_cycle_by_composition(alpha, n_k, widths, shares):
     the whole packet walk; appends the zero share of each pass to
     ``shares``."""
     p_idle, odds = _after_collision(alpha, n_k)
-    _, cycle = _packet_walk(p_idle, widths)
+    _, cycle, _ = _packet_walk(p_idle, widths)
     p_zero = 0.0
     for _ in range(markov.MAX_ITER):
         shares.append(cycle(p_zero).zero_share)

@@ -8,9 +8,9 @@ from itertools import product
 from admac import metrics
 from admac import (AdmacError, ConfigError, CoupledSolution,
                    InfeasibleModelError, SectorModel, SlotProbabilities,
-                   aggregate_utilization, analyze, derive_sector_models,
-                   derive_timings, expected_delay, make_params,
-                   sector_utilization, sigma_avg, slot_quantized,
+                   analyze, derive_sector_models, derive_timings,
+                   expected_delay, make_params, sector_utilization,
+                   service_weighted_mean, sigma_avg, slot_quantized,
                    window_sizes)
 from conftest import bank_params, mean_sim_u
 
@@ -25,12 +25,12 @@ def make_sector(p_h, p_f=0.0, cbap_k_slots=8000, n_k=10):
                        cbap_k_slots=cbap_k_slots)
 
 
-def make_solution(p_b, p_after_idle, p_after_collision, steps):
+def make_solution(p_b, steps, backoff_ticks=3.0, collisions=0.5):
     return CoupledSolution(tau=0.1, p=0.3, p_b=p_b, alpha=0.05,
-                           p_after_idle=p_after_idle,
-                           p_after_collision=p_after_collision,
-                           drop_prob=0.1, steps=steps, iterations=1,
-                           residual=0.0)
+                           p_after_idle=0.5, p_after_collision=0.2,
+                           drop_prob=0.1, backoff_ticks=backoff_ticks,
+                           collisions_before_success=collisions,
+                           steps=steps, iterations=1, residual=0.0)
 
 
 # --- sector_utilization ---
@@ -60,20 +60,20 @@ def test_utilization_matches_simulator_within_five_percent(sim_bank):
     )
 
 
-# --- aggregate_utilization ---
+# --- service_weighted_mean ---
 
 def test_aggregate_weighted_mean():
-    assert aggregate_utilization([(0.5, 1000), (0.7, 3000)]) == \
+    assert service_weighted_mean([0.5, 0.7], [1000, 3000]) == \
         pytest.approx(0.65, rel=1e-15)
 
 
 def test_aggregate_of_constant_is_constant():
-    assert aggregate_utilization([(0.42, 700), (0.42, 1), (0.42, 9000)]) == \
+    assert service_weighted_mean([0.42, 0.42, 0.42], [700, 1, 9000]) == \
         pytest.approx(0.42, rel=1e-15)
 
 
 def test_aggregate_single_sector_identity():
-    assert aggregate_utilization([(0.3127, 8000)]) == \
+    assert service_weighted_mean([0.3127], [8000]) == \
         pytest.approx(0.3127, rel=1e-15)
 
 
@@ -81,12 +81,24 @@ def test_aggregate_single_sector_is_exact():
     # the weighted mean u * c / c reads one ulp above u for this pair
     u = 0.33505991793871015
     assert u * 14000 / 14000 != u
-    assert aggregate_utilization([(u, 14000)]) == u
+    assert service_weighted_mean([u], [14000]) == u
 
 
 def test_aggregate_needs_positive_weight():
     with pytest.raises(InfeasibleModelError):
-        aggregate_utilization([(0.5, 0)])
+        service_weighted_mean([0.5], [0])
+
+
+def test_single_sector_network_values_are_the_sectors_own():
+    # d * c / c once put mean_delay_s one ulp off per_sector_delay[0] at
+    # 59 of these points, and drop_prob off its sector's at 48
+    for w0, n, share in product((7, 15, 31), range(1, 65),
+                                (0.1, 0.4, 0.7, 1.0)):
+        report = analyze(make_params(n=n, w0=w0,
+                                     cbap_slots=round(share * 20000)))
+        assert report.aggregate_u == report.per_sector_u[0]
+        assert report.mean_delay == report.per_sector_delay[0]
+        assert report.drop_prob == report.per_sector_drop_prob[0]
 
 
 # --- sigma_avg ---
@@ -142,28 +154,15 @@ def test_sigma_avg_grows_when_service_share_shrinks():
 # --- expected_delay ---
 
 def test_delay_collisionless_single_stage():
+    # the 7.5 ticks of a collision-free w0=16 stage, priced at sigma_avg
     params = make_params(w0=16, m=3)
     timings = derive_timings(params)
     sp = make_sp(1.0, 0.0, 0.0)
     sector = make_sector(p_h=0.0)
-    sol = make_solution(p_b=0.0, p_after_idle=0.0, p_after_collision=0.0,
-                        steps=sp)
+    sol = make_solution(p_b=0.0, steps=sp, backoff_ticks=7.5, collisions=0.0)
     got = expected_delay(sol, timings, sector, params)
     sa = sigma_avg(sp, timings, sector, params)
     assert got == pytest.approx(timings.t_suc + 7.5 * sa, rel=1e-13)
-
-
-def test_delay_single_retry_stage_ignores_collision_probability():
-    # m = 0: no attempt follows the station's own collision, so the delay
-    # never reads p_after_collision
-    params = make_params(w0=8, m=0)
-    timings = derive_timings(params)
-    sp = make_sp(0.5, 0.3, 0.2, po_idle=0.6, po_suc=0.3, po_col=0.1)
-    sector = make_sector(p_h=0.01, p_f=0.6)
-    lo, hi = (expected_delay(make_solution(0.3, 0.5, odds, sp), timings,
-                             sector, params)
-              for odds in (0.1, 0.9))
-    assert lo == pytest.approx(hi, rel=1e-15)
 
 
 def test_delay_requires_positive_decrement_probability():
@@ -171,28 +170,26 @@ def test_delay_requires_positive_decrement_probability():
     timings = derive_timings(params)
     sp = make_sp(0.5, 0.3, 0.2)
     with pytest.raises(InfeasibleModelError):
-        expected_delay(make_solution(0.95, 0.5, 0.5, sp), timings,
+        expected_delay(make_solution(0.95, sp), timings,
                        make_sector(p_h=0.06), params)
 
 
 def test_coupled_delay_single_stage_hand_formula():
-    # m = 0: a packet is delivered on its first attempt or dropped.  A zero
-    # draw follows the station's own success and never collides; any other
-    # draw counts down w/2 ticks on average and collides at p_after_idle.
+    # the m=0, w0=8 counts at p_after_idle = 0.5 (tests/test_markov.py):
+    # 7/8 * 0.5 * 4 ticks over the 1 - 7/16 delivered share, no collision.
+    # A tick lasts sigma_avg over 1 - p_b - p_h, a collision t_col.
     params = make_params(w0=8, m=0)
     timings = derive_timings(params)
     sp = make_sp(0.5, 0.3, 0.2, po_idle=0.6, po_suc=0.3, po_col=0.1)
     sector = make_sector(p_h=0.0)
-    sol = CoupledSolution(tau=0.1, p=0.3, p_b=0.4, alpha=0.05,
-                          p_after_idle=0.5, p_after_collision=0.2,
-                          drop_prob=0.4375, steps=sp, iterations=1,
-                          residual=0.0)
     tick = sigma_avg(sp, timings, sector, params) / 0.6
-    counted = 7.0 / 8.0
-    delivered = 1.0 - counted * 0.5
-    expected = (counted * 0.5 * 4.0 * tick) / delivered + timings.t_suc
-    got = expected_delay(sol, timings, sector, params)
-    assert got == pytest.approx(expected, rel=1e-13)
+    ticks = 7.0 / 8.0 * 0.5 * 4.0 / (1.0 - 7.0 / 16.0)
+    for collisions in (0.0, 1.5):
+        sol = make_solution(p_b=0.4, steps=sp, backoff_ticks=ticks,
+                            collisions=collisions)
+        expected = ticks * tick + collisions * timings.t_col + timings.t_suc
+        got = expected_delay(sol, timings, sector, params)
+        assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_delay_matches_independent_formula():
@@ -298,7 +295,7 @@ def test_analyze_solves_coupling_once_per_population(monkeypatch):
 
 
 @pytest.mark.parametrize("n, q, w0, share, u, delay, drop", [
-    (10, 1, 7, 0.4, 0.33505991793871015, 0.0017965294793220355,
+    (10, 1, 7, 0.4, 0.33505991793871015, 0.0017965294793220357,
      0.020076766744955867),
     (50, 4, 15, 0.4, 0.33644589363241484, None, None),
     (30, 1, 31, 0.7, 0.32818146771866163, None, None),
