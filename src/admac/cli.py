@@ -1,8 +1,8 @@
 """Command-line front end: solve, simulate, sweep, validate, compare.
 
-Every output but ``validate``'s fixed-width table is CSV, with ``#``
-comment lines for provenance: the effective configuration, or the two
-files ``compare`` joined.  Row schema (stable):
+Every output is CSV, with ``#`` comment lines for provenance: the
+effective configuration, the two files ``compare`` joined, or the grid
+``validate`` checked.  Row schema of the other three (stable):
 
     config_hash, seed, n, q, w0, m, cbap_fraction, u_sectors, u,
     mean_delay_s, drop_prob, num_bi
@@ -13,8 +13,9 @@ output appends ``mode`` and ``error`` columns; infeasible sweep points
 emit a row with the error message instead of aborting the sweep.  Analytic
 rows leave ``seed`` and ``num_bi`` empty.  ``u``, ``mean_delay_s`` and
 ``drop_prob`` print the ``PerformanceReport`` fields ``aggregate_u``,
-``mean_delay`` and ``drop_prob``.  Exit codes: 0 success, 1 config error,
-2 infeasible model or solver failure, 3 validation failure.
+``mean_delay`` and ``drop_prob``.  ``validate`` prints the rows of
+``chain.validation_report``, also where it fails.  Exit codes: 0 success,
+1 config error, 2 infeasible model or solver failure, 3 validation failure.
 """
 
 import argparse
@@ -182,6 +183,7 @@ def _map(fn, tasks, jobs):
 
 
 def _write_csv(path, comment_lines, columns, rows):
+    """Write ``path``, or standard output without one, as CSV of ``rows``."""
     buffer = io.StringIO()
     for line in comment_lines:
         buffer.write(f"# {line}\n")
@@ -190,16 +192,11 @@ def _write_csv(path, comment_lines, columns, rows):
     for row in rows:
         writer.writerow(["" if row[col] is None else str(row[col])
                          for col in columns])
-    _emit(path, buffer.getvalue())
-
-
-def _emit(path, text):
-    """Write ``text`` to ``path``, or to standard output without one."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(buffer.getvalue())
     else:
         with open_text(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.write(buffer.getvalue())
 
 
 def _cmd_point(args):
@@ -212,6 +209,21 @@ def _cmd_point(args):
     return 0
 
 
+def _sweep_provenance(base_overrides, param, values):
+    """Provenance lines of the sweep's base configuration or, where that
+    cannot be built, of its first point that can; the base's error where
+    no point can."""
+    error = None
+    for value in (None, *values):
+        try:
+            overrides = (base_overrides if value is None
+                         else _with_flag(base_overrides, param, value))
+            return _provenance(make_params(**overrides))[0]
+        except ConfigError as exc:
+            error = error or exc
+    raise error
+
+
 def _cmd_sweep(args):
     kind = _finite if args.param == "cbap_fraction" else int
     values = _parse_list(args.values, kind, "sweep value")
@@ -222,7 +234,7 @@ def _cmd_sweep(args):
               for seed in ((None,) if mode == "analytic" else seeds)]
     comments = [f"sweep_param={args.param}",
                 f"sweep_values={','.join(str(v) for v in values)}",
-                *_provenance(make_params(**base_overrides))[0]]
+                *_sweep_provenance(base_overrides, args.param, values)]
     run = functools.partial(_sweep_point, base_overrides, args.param,
                             args.num_bi)
     _write_csv(args.out, comments, SWEEP_COLUMNS, _map(run, points, args.jobs))
@@ -230,29 +242,16 @@ def _cmd_sweep(args):
 
 
 def _cmd_validate(args):
-    from .chain import DEFAULT_GRID, validation_report
+    from .chain import validation_report
 
-    rows = validation_report(DEFAULT_GRID)
-    worst = 0.0
-    lines = [
-        f"{'w0':>3} {'m':>2} {'p':>4} {'p_h':>6} {'p_h_pr':>6} {'p_f':>4} "
-        f"{'b000_closed':>14} {'b000_oracle':>14} {'b000_rel':>10} {'tau_rel':>10}"
-    ]
-    for row in rows:
-        worst = max(worst, row["b000_rel_err"], row["tau_rel_err"])
-        lines.append(
-            f"{row['w0']:>3} {row['m']:>2} {row['p']:>4} {row['p_h']:>6} "
-            f"{row['p_h_prime']:>6} {row['p_f']:>4} "
-            f"{row['b000_closed']:>14.9e} {row['b000_oracle']:>14.9e} "
-            f"{row['b000_rel_err']:>10.2e} {row['tau_rel_err']:>10.2e}"
-        )
-    lines.append(f"worst relative error: {worst:.3e} over {len(rows)} points")
-    _emit(args.out, "\n".join(lines) + "\n")
+    rows = validation_report()
+    worst = max(row[key] for row in rows
+                for key in ("b000_rel_err", "tau_rel_err"))
+    _write_csv(args.out, [f"points={len(rows)}", f"tol={args.tol!r}",
+                          f"worst_rel_err={worst!r}"], list(rows[0]), rows)
     if worst > args.tol:
-        raise ValidationError(
-            f"closed form vs oracle: worst relative error {worst:.3e} "
-            f"exceeds {args.tol}"
-        )
+        raise ValidationError(f"closed form vs oracle: worst relative error "
+                              f"{worst:.3e} exceeds {args.tol}")
     return 0
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from random import Random
 
-from .config import derive_sector_models, window_sizes
+from .config import derive_sector_models, derive_timings, window_sizes
 from .errors import ConfigError
 from .metrics import PerformanceReport, service_weighted_mean
 
@@ -60,7 +60,6 @@ class SimStats:
     idle_slots: tuple
     dropped: tuple
     attempts: tuple
-    payload_time: tuple
     delays: tuple
 
 
@@ -207,7 +206,6 @@ def run_simulation(params, timings, seed, num_bi=200):
         idle_slots=tuple(idles),
         dropped=tuple(drops_all),
         attempts=tuple(attempts_all),
-        payload_time=tuple(s * timings.t_data for s in successes),
         delays=tuple(delays_all),
     )
 
@@ -219,10 +217,11 @@ def empirical_report(stats, params):
     ``slot_time``, over the packet count.
     """
     sigma = params.slot_time
+    t_data = derive_timings(params).t_data
     us, delays, drops = [], [], []
     for k, cbap_k in enumerate(stats.sector_cbap_slots):
         window_time = cbap_k * sigma * stats.num_bi
-        us.append(stats.payload_time[k] / window_time)
+        us.append(stats.successes[k] * t_data / window_time)
         sector = stats.delays[k]
         delays.append(sum(sector) * sigma / len(sector) if sector else None)
         finished = stats.successes[k] + stats.dropped[k]

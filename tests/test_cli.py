@@ -242,8 +242,7 @@ def test_sweep_keeps_an_error_row_for_an_overflowing_exchange(line, tmp_path):
     (OVERFLOWING_INTEGERS[0], "msdu_bytes"), (OVERFLOWING_INTEGERS[1], "bi_slots"),
 ], ids=OVERFLOW_IDS[3:])
 def test_sweep_refuses_a_base_integer_past_a_float(line, name, tmp_path, capsys):
-    # the sweep's provenance lines need the base parameters, as for any
-    # base configuration that cannot be built
+    # no point of the sweep can be built, so it has no configuration to echo
     cfg = tmp_path / "big.cfg"
     cfg.write_text(line + "\n")
     assert main(["sweep", "--config", str(cfg), "--param", "n",
@@ -267,6 +266,27 @@ def test_sector_count_above_what_it_divides_is_config_error(
         argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("values, first_built", [("10,20", "10"),
+                                                  ("2,20", "20")])
+def test_sweep_runs_where_only_its_base_has_too_few_stations(
+        values, first_built, tmp_path):
+    # the provenance lines echo the first point that can be built
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "3", "--q", "4", "--param", "n",
+                 "--values", values, "--mode", "analytic",
+                 "--out", str(out)]) == 0
+    comments, rows = read_csv(out)
+    assert f"n={first_built}" in comments
+    built = {row["n"]: row for row in rows}
+    assert [row["n"] for row in rows] == values.split(",")
+    assert f"config_hash={built[first_built]['config_hash']}" in comments
+    for row in rows:
+        if row["n"] == "2":
+            assert row["error"] == NO_STATION and row["u"] == ""
+        else:
+            assert row["error"] == "" and 0.0 < float(row["u"]) < 1.0
 
 
 SOLVE_DIGEST = (
@@ -618,23 +638,40 @@ def test_jobs_and_num_bi_below_one_are_config_errors(argv, tmp_path, capsys):
 
 # --- validate ---
 
-def test_validate_passes_default_grid(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "worst relative error" in out
-    assert "108 points" in out
+VALIDATE_COLUMNS = ["w0", "m", "p", "p_h", "p_h_prime", "p_f", "b000_closed",
+                    "b000_oracle", "b000_rel_err", "tau_closed", "tau_oracle",
+                    "tau_rel_err"]
 
 
-def test_validate_stdout_bytes_are_pinned(capsys):
+def test_validate_passes_default_grid(tmp_path):
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--out", str(out)]) == 0
+    comments, rows = read_csv(out)
+    errors = [float(row[key]) for row in rows
+              for key in ("b000_rel_err", "tau_rel_err")]
+    assert len(rows) == 108
+    assert all(error <= 1e-6 for error in errors)
+    assert comments == ["points=108", "tol=1e-06",
+                        f"worst_rel_err={max(errors)!r}"]
+
+
+def test_validate_stdout_bytes_are_pinned(tmp_path, capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == (
-        "0cca3f38127058975d9c1152587402433f434bc27500fae1c3dcaf9e7cdf6db5")
+        "7fe9d77bf4ea2d56c2fa63b20f99452ee8f936ea075a036ca692732632535e6e")
+    assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 0
+    assert (tmp_path / "v.csv").read_bytes() == out
 
 
 def test_validate_fails_at_impossible_tolerance(capsys):
+    # the report is written before the failure
     assert main(["validate", "--tol", "1e-20"]) == 3
-    assert "validation failure" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "validation failure" in captured.err
+    lines = captured.out.splitlines()
+    assert lines[:2] == ["# points=108", "# tol=1e-20"]
+    assert len(list(csv.DictReader(lines[3:]))) == 108
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -760,6 +797,36 @@ def test_compare_names_no_parameters_for_sweep_rows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "n=10 q=1 w0=7 m=5 cbap_fraction=0.4 has config_hash" in err
     assert "parameters differ" not in err
+
+
+# --- every command ---
+
+POINT_COLUMNS = ["config_hash", "seed", "n", "q", "w0", "m", "cbap_fraction",
+                 "u_sectors", "u", "mean_delay_s", "drop_prob", "num_bi"]
+COMPARE_COLUMNS = ["n", "q", "w0", "m", "cbap_fraction", "u_analytic", "u_sim",
+                   "u_rel_err", "delay_analytic_s", "delay_sim_s",
+                   "delay_rel_err"]
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (["solve", "--n", "5"], POINT_COLUMNS),
+    (["simulate", "--n", "5", "--seeds", "0-1", "--num-bi", "2"],
+     POINT_COLUMNS),
+    (["sweep", "--param", "n", "--values", "4,6", "--seeds", "0",
+      "--num-bi", "2"], POINT_COLUMNS + ["mode", "error"]),
+    (["compare"], COMPARE_COLUMNS),
+    (["validate"], VALIDATE_COLUMNS),
+], ids=["solve", "simulate", "sweep", "compare", "validate"])
+def test_every_command_prints_csv(argv, columns, tmp_path, capsys):
+    if argv == ["compare"]:
+        argv = [*argv, *map(str, make_pair(tmp_path))]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reader = csv.DictReader(line for line in lines if not line.startswith("#"))
+    rows = list(reader)
+    assert reader.fieldnames == columns
+    assert rows and all(len(row) == len(columns) and None not in row.values()
+                        for row in rows)
 
 
 # --- packaging ---

@@ -279,7 +279,7 @@ def test_two_station_run_matches_exact_joint_chain():
         stats = run_simulation(params, timings, seed=seed, num_bi=100)
         steps = (stats.idle_slots[0] + stats.successes[0]
                  + stats.collisions[0])
-        u = stats.payload_time[0] / (20000 * sigma * 100)
+        u = stats.successes[0] * timings.t_data / (20000 * sigma * 100)
         tau = stats.attempts[0] / (2 * steps)
         p = 2.0 * stats.collisions[0] / stats.attempts[0]
         assert u == pytest.approx(u_pred, rel=0.01)
@@ -388,7 +388,6 @@ def test_report_marks_empty_run_undefined():
     stats = SimStats(
         num_bi=1, sector_cbap_slots=(8000,), successes=(0,),
         collisions=(0,), idle_slots=(8000,), dropped=(0,), attempts=(0,),
-        payload_time=(0.0,),
         delays=((),),
     )
     report = empirical_report(stats, make_params())
@@ -409,14 +408,15 @@ def test_report_single_sector_aggregate_is_sector_u():
 
 
 def test_report_utilization_is_payload_over_window_time():
-    # 10 ms of payload delivered inside a 40 ms service window
+    # 1000 data frames of 10 us each inside a 40 ms service window
     stats = SimStats(
-        num_bi=1, sector_cbap_slots=(8000,), successes=(313,),
-        collisions=(0,), idle_slots=(0,), dropped=(0,), attempts=(313,),
-        payload_time=(0.01,),
+        num_bi=1, sector_cbap_slots=(8000,), successes=(1000,),
+        collisions=(0,), idle_slots=(0,), dropped=(0,), attempts=(1000,),
         delays=((200,),),
     )
-    report = empirical_report(stats, make_params())
+    params = make_params(msdu_bytes=1250, data_rate=1e9)
+    assert derive_timings(params).t_data == 1e-5
+    report = empirical_report(stats, params)
     assert report.aggregate_u == pytest.approx(0.25, rel=1e-12)
 
 
