@@ -278,10 +278,10 @@ def test_sweep_runs_where_only_its_base_has_too_few_stations(
                  "--values", values, "--mode", "analytic",
                  "--out", str(out)]) == 0
     comments, rows = read_csv(out)
-    assert f"n={first_built}" in comments
-    built = {row["n"]: row for row in rows}
     assert [row["n"] for row in rows] == values.split(",")
-    assert f"config_hash={built[first_built]['config_hash']}" in comments
+    built, = (row for row in rows if row["n"] == first_built)
+    assert f"n={first_built}" in comments
+    assert f"config_hash={built['config_hash']}" in comments
     for row in rows:
         if row["n"] == "2":
             assert row["error"] == NO_STATION and row["u"] == ""
