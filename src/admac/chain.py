@@ -9,7 +9,7 @@ them, so that importing the package does not pay for them.
 """
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import SectorModel, window_sizes
 from .errors import AdmacError, OracleError, OracleSizeError
@@ -32,8 +32,7 @@ DEFAULT_GRID = tuple(sorted(set(
 )))
 
 
-@dataclass(frozen=True)
-class ExplicitChain:
+class ExplicitChain(NamedTuple):
     """Sparse (CSR) one-step transition matrix and each stage's head row."""
 
     matrix: object

@@ -26,7 +26,6 @@ import io
 import math
 import os
 import sys
-from dataclasses import fields
 
 from .config import (WINDOW_RULES, ModelParams, check_least, derive_timings,
                      make_params, open_text, parse_config_file, read_lines)
@@ -54,10 +53,10 @@ def _provenance(params):
     The lines are sorted by name and end with ``config_hash=<digest>``.
     """
     lines = []
-    for f in sorted(fields(ModelParams), key=lambda f: f.name):
-        value = getattr(params, f.name)
+    for name in sorted(ModelParams._fields):
+        value = getattr(params, name)
         text = ",".join(map(str, value)) if isinstance(value, tuple) else repr(value)
-        lines.append(f"{f.name}={text}")
+        lines.append(f"{name}={text}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
     lines.append(f"config_hash={digest}")
     return lines, digest
@@ -103,13 +102,14 @@ def parse_seeds(text):
 def _with_flag(overrides, name, value):
     """``overrides`` with one flag set; ``bi_ms`` and ``cbap_fraction`` set
     ``bi_slots`` and ``cbap_slots`` at the effective slot time and interval."""
+    defaults = ModelParams._field_defaults
     if name == "bi_ms":
-        slot_time = overrides.get("slot_time", ModelParams.slot_time)
+        slot_time = overrides.get("slot_time", defaults["slot_time"])
         check_least("slot_time", slot_time)
         slots = value * 1e-3 / slot_time
         target = "bi_slots"
     elif name == "cbap_fraction":
-        slots = value * overrides.get("bi_slots", ModelParams.bi_slots)
+        slots = value * overrides.get("bi_slots", defaults["bi_slots"])
         target = "cbap_slots"
     else:
         return {**overrides, name: value}
@@ -322,7 +322,7 @@ def _check_same_configs(args, analytic, simulated, a_conf, s_conf):
         if (a_conf.get("config_hash") in a_hashes - s_hashes
                 and s_conf.get("config_hash") in s_hashes - a_hashes):
             differ = [f"{name} ({a_conf.get(name)} against {s_conf.get(name)})"
-                      for name in sorted(f.name for f in fields(ModelParams))
+                      for name in sorted(ModelParams._fields)
                       if a_conf.get(name) != s_conf.get(name)]
             message += f"; the parameters differ in {', '.join(differ)}"
         raise ConfigError(message)

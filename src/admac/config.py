@@ -9,7 +9,7 @@ constants.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .errors import ConfigError, InfeasibleModelError
 
@@ -20,13 +20,8 @@ WINDOW_RULES = {"doubling": 0, "doubling-minus-one": 1}
 SPLIT_RULES = ("equal", "proportional")
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Validated scenario description shared by model and simulator.
-
-    The defaults are the paper's scenario: a 60 GHz directional MAC with
-    RTS/CTS protection, 27.5 Mb/s control rate and 2 Gb/s data rate.
-    """
+class _ModelFields(NamedTuple):
+    """The parameters in order, with their types and defaults, unchecked."""
 
     n: int = 10
     q: int = 1
@@ -51,9 +46,23 @@ class ModelParams:
     cbap_split_rule: str = "equal"
     strict_timing: bool = True
 
-    def __post_init__(self):
+
+class ModelParams(_ModelFields):
+    """Validated scenario description shared by model and simulator.
+
+    The defaults are the paper's scenario: a 60 GHz directional MAC with
+    RTS/CTS protection, 27.5 Mb/s control rate and 2 Gb/s data rate.
+    Every way of building one checks the fields and derives empty
+    ``sector_populations`` and ``cbap_split``: the constructor, ``_make``,
+    ``_replace``, ``copy`` and unpickling.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        draft = _ModelFields(*args, **kwargs)
         for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
+            value = getattr(draft, name)
             if kind not in (int, float) or name in ("w0", "m"):
                 continue  # window_sizes checks w0 and m
             try:
@@ -63,41 +72,50 @@ class ModelParams:
             if not finite:
                 raise ConfigError(f"{name} must be finite, got {value}")
         for name in _LEAST:
-            check_least(name, getattr(self, name))
-        window_sizes(self.w0, self.m, self.window_rule)
-        if not 1 <= self.cbap_slots <= self.bi_slots:
+            check_least(name, getattr(draft, name))
+        window_sizes(draft.w0, draft.m, draft.window_rule)
+        if not 1 <= draft.cbap_slots <= draft.bi_slots:
             raise ConfigError(f"cbap_slots must be in [1, bi_slots], "
-                              f"got {self.cbap_slots}")
-        if self.cbap_split_rule not in SPLIT_RULES:
-            raise ConfigError(f"unknown cbap_split_rule {self.cbap_split_rule!r}")
-        self._per_sector("sector_populations", "n",
-                         "every sector must hold at least one station",
-                         _round_robin, self.q)
-        self._per_sector("cbap_split", "cbap_slots",
-                         "every sector service period must be >= 1 slot",
-                         _split_cbap, self.sector_populations, self.cbap_split_rule)
+                              f"got {draft.cbap_slots}")
+        if draft.cbap_split_rule not in SPLIT_RULES:
+            raise ConfigError(f"unknown cbap_split_rule {draft.cbap_split_rule!r}")
+        populations = _per_sector(draft, "sector_populations", "n",
+                                  "every sector must hold at least one station",
+                                  _round_robin, draft.q)
+        split = _per_sector(draft, "cbap_split", "cbap_slots",
+                            "every sector service period must be >= 1 slot",
+                            _split_cbap, populations, draft.cbap_split_rule)
+        return tuple.__new__(cls, draft._replace(sector_populations=populations,
+                                                 cbap_split=split))
 
-    def _per_sector(self, name, total, below_one, derive, *args):
-        """Set ``name`` to its tuple, ``derive(total, *args)`` when empty, and
-        check that it has q entries, each >= 1, that sum to ``total``.  A q
-        above the total is refused before ``derive`` builds a list."""
-        value, whole = getattr(self, name), getattr(self, total)
-        if not value:
-            if self.q > whole:
-                raise ConfigError(below_one)
-            value = derive(whole, *args)
-        value = tuple(value)
-        object.__setattr__(self, name, value)
-        if len(value) != self.q:
-            raise ConfigError(f"{name} has {len(value)} entries, expected q={self.q}")
-        if any(v < 1 for v in value):
+    @classmethod
+    def _make(cls, iterable):
+        """The parameters of ``iterable`` in field order, checked; ``_replace``
+        builds through it."""
+        return cls(*iterable)
+
+
+def _per_sector(params, name, total, below_one, derive, *args):
+    """The tuple of ``name``, ``derive(total, *args)`` when empty, checked to
+    have q entries, each >= 1, that sum to ``total``.  A q above the total
+    is refused before ``derive`` builds a list."""
+    value, whole = getattr(params, name), getattr(params, total)
+    if not value:
+        if params.q > whole:
             raise ConfigError(below_one)
-        if sum(value) != whole:
-            raise ConfigError(f"{name} sums to {sum(value)}, expected {total}={whole}")
+        value = derive(whole, *args)
+    value = tuple(value)
+    if len(value) != params.q:
+        raise ConfigError(f"{name} has {len(value)} entries, expected q={params.q}")
+    if any(v < 1 for v in value):
+        raise ConfigError(below_one)
+    if sum(value) != whole:
+        raise ConfigError(f"{name} sums to {sum(value)}, expected {total}={whole}")
+    return value
 
 
 # the type of every parameter, read by the config-file parser and the checks
-_FIELD_TYPES = {f.name: f.type for f in fields(ModelParams)}
+_FIELD_TYPES = dict(_ModelFields.__annotations__)
 
 # the comparison and least value of each one-sided bound, in checking order
 _LEAST = {
@@ -169,8 +187,7 @@ def frame_airtime(num_bytes, rate, phy_overhead=0.0):
     return phy_overhead + 8.0 * num_bytes / rate
 
 
-@dataclass(frozen=True)
-class TimingDurations:
+class TimingDurations(NamedTuple):
     """Event durations derived from frame sizes and rates."""
 
     t_data: float
@@ -220,15 +237,13 @@ def slot_quantized(timings, slot_time):
     The simulator charges a success ``n_frame_slots`` slots and a collision
     ``n_col_slots`` slots; the analytic layer charges the same.
     """
-    return replace(
-        timings,
+    return timings._replace(
         t_suc=timings.n_frame_slots * slot_time,
         t_col=timings.n_col_slots * slot_time,
     )
 
 
-@dataclass(frozen=True)
-class SectorModel:
+class SectorModel(NamedTuple):
     """Per-sector transition constants of the backoff chain."""
 
     n_k: int

@@ -20,7 +20,6 @@ actually has, and is what the performance metrics use.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import window_sizes
@@ -35,8 +34,7 @@ ROOT_TOL = 1e-10
 MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class FixedPointSolution:
+class FixedPointSolution(NamedTuple):
     """Converged attempt rate with its intermediate quantities."""
 
     tau: float
@@ -199,8 +197,7 @@ def steady_state_vector(sol, sector, w0, m, window_rule="doubling"):
     return entries
 
 
-@dataclass(frozen=True)
-class SlotProbabilities:
+class SlotProbabilities(NamedTuple):
     """Outcome split of a channel step, for all stations and for the others.
 
     ``p_*`` split the steps of the whole sector into idle slots, successes
@@ -216,8 +213,7 @@ class SlotProbabilities:
     po_col: float
 
 
-@dataclass(frozen=True)
-class CoupledSolution:
+class CoupledSolution(NamedTuple):
     """Operating point of a sector whose stations couple at idle slots.
 
     ``tau`` counts attempts per station per channel step (an idle slot, a
@@ -367,24 +363,26 @@ def _after_collision(alpha, n_k):
 
 
 def _coupled_cycle(alpha, n_k, widths):
-    """p_idle, the after-collision odds settled at ``alpha``, and the packet
-    cycle at them.  Each pass walks the zero share alone; the whole packet
-    is walked once, at the settled odds."""
+    """p_idle, the after-collision odds settled at ``alpha``, the packet
+    cycle at them, and the walk's ``delivered_counts``.  Each pass walks
+    the zero share alone; the whole packet is walked once, at the settled
+    odds."""
     p_idle, odds = _after_collision(alpha, n_k)
-    zero_share, cycle, _ = _packet_walk(p_idle, widths)
+    zero_share, cycle, delivered_counts = _packet_walk(p_idle, widths)
     p_zero = 0.0
     for _ in range(MAX_ITER):
         nxt = odds(zero_share(p_zero))
         if abs(nxt - p_zero) <= ZERO_ODDS_TOL:
-            return p_idle, nxt, cycle(nxt)
+            return p_idle, nxt, cycle(nxt), delivered_counts
         p_zero = nxt
     raise InfeasibleModelError(
         f"after-collision odds did not settle at alpha={alpha:.6g}"
     )
 
 
-def _solution(alpha, n_k, p_idle, p_zero, widths, iterations, residual):
-    """Walk one packet at the settled odds and split its steps by outcome.
+def _solution(alpha, n_k, p_idle, p_zero, cycle, counts_at, iterations,
+              residual):
+    """Split the steps of the packet ``cycle`` at the settled odds by outcome.
 
     One packet cycle of a station spans ``cycle.decrements`` idle slots.
     Collisions are counted as collided attempts over their mean size: a
@@ -393,8 +391,6 @@ def _solution(alpha, n_k, p_idle, p_zero, widths, iterations, residual):
     after a collision holds the station and the co-colliders that drew
     zero too.
     """
-    _, cycle_at, counts_at = _packet_walk(p_idle, widths)
-    cycle = cycle_at(p_zero)
     idle = cycle.decrements
     delivered = 1.0 - cycle.drop_prob
     successes = n_k * delivered
@@ -446,7 +442,8 @@ def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling"):
         raise ConfigError(f"n_k must be >= 1, got {n_k}")
     widths = window_sizes(w0, m, window_rule)
     if n_k == 1:
-        return _solution(0.0, 1, 0.0, 0.0, widths, 0, 0.0)
+        _, cycle_at, counts_at = _packet_walk(0.0, widths)
+        return _solution(0.0, 1, 0.0, 0.0, cycle_at(0.0), counts_at, 0, 0.0)
     if m == 0:
         raise InfeasibleModelError(
             "m=0 with two or more stations per sector: colliding stations "
@@ -459,9 +456,10 @@ def solve_idle_slot_coupling(n_k, w0, m, window_rule="doubling"):
         )
 
     def residual(alpha):
-        p_idle, p_zero, cycle = _coupled_cycle(alpha, n_k, widths)
-        return cycle.idle_attempts / cycle.decrements - alpha, p_idle, p_zero
+        p_idle, p_zero, cycle, counts_at = _coupled_cycle(alpha, n_k, widths)
+        return (cycle.idle_attempts / cycle.decrements - alpha,
+                p_idle, p_zero, cycle, counts_at)
 
-    alpha, iterations, (g, p_idle, p_zero) = _bisect(
+    alpha, iterations, (g, *root) = _bisect(
         residual, TAU_EPS, 1.0 - TAU_EPS, "idle-slot coupling")
-    return _solution(alpha, n_k, p_idle, p_zero, widths, iterations, abs(g))
+    return _solution(alpha, n_k, *root, iterations, abs(g))

@@ -10,7 +10,7 @@ durations the simulator charges, and weights every network value by
 service period.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import derive_sector_models, derive_timings, slot_quantized
 from .errors import InfeasibleModelError
@@ -18,8 +18,7 @@ from .markov import solve_idle_slot_coupling
 from .numeric import left_sum
 
 
-@dataclass(frozen=True)
-class PerformanceReport:
+class PerformanceReport(NamedTuple):
     """Per-sector and network utilization, delay, and drop statistics.
 
     ``aggregate_u``, ``mean_delay`` and ``drop_prob`` are the network values

@@ -27,9 +27,9 @@ a bucket cannot change a result.  Delays are counted in slots, and no
 numpy is loaded.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 from random import Random
+from typing import NamedTuple
 
 from .config import derive_sector_models, derive_timings, window_sizes
 from .errors import ConfigError
@@ -48,8 +48,7 @@ def _streams(seed, station_ids):
     return [Random((seed << 20) + sid).random for sid in station_ids]
 
 
-@dataclass(frozen=True)
-class SimStats:
+class SimStats(NamedTuple):
     """Per-sector counters of one run; ``delays`` holds each sector's tuple
     of per-packet delays in slots, from enqueue to the end of the success."""
 

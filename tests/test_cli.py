@@ -619,6 +619,18 @@ def test_one_task_starts_no_pool(monkeypatch, tmp_path):
     assert RecordingExecutor.created == [2]
 
 
+def test_two_jobs_write_the_bytes_of_one(monkeypatch, tmp_path):
+    # each worker unpickles the parameters, which checks them again
+    set_cpus(monkeypatch, 2, {0, 1})
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["simulate", "--n", "10", "--q", "2", "--seeds", "0-1",
+                     "--num-bi", "5", "--jobs", jobs, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--jobs", "0"],
     ["simulate", "--jobs", "-2"],
@@ -879,6 +891,25 @@ def test_analytic_and_compare_paths_do_not_import_numpy(tmp_path):
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # the records are NamedTuples; dataclasses, and the inspect it imports,
+    # would cost a cold start more than building every record class
+    analytic, sim = tmp_path / "a.csv", tmp_path / "s.csv"
+    write_sim_csv(sim, config_hash(make_params(n=10, cbap_slots=8000)))
+    script = (
+        "import admac\n"
+        "from admac import cli\n"
+        f"assert cli.main(['solve', '--n', '10', '--cbap-fraction', '0.4',"
+        f" '--out', {str(analytic)!r}]) == 0\n"
+        "assert cli.main(['simulate', '--n', '4', '--seeds', '0-1',"
+        " '--num-bi', '2']) == 0\n"
+        "assert cli.main(['sweep', '--param', 'n', '--values', '4,6',"
+        " '--mode', 'both', '--seeds', '0', '--num-bi', '2']) == 0\n"
+        f"assert cli.main(['compare', {str(analytic)!r}, {str(sim)!r}]) == 0\n"
+    )
+    assert run_and_list_modules(script, ("dataclasses", "inspect")) == "[]"
 
 
 def run_and_list_modules(script, modules):

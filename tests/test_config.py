@@ -1,5 +1,8 @@
 """Parameter validation, frame timings, and sector-model derivation."""
 
+import copy
+import pickle
+
 import pytest
 
 from admac import (ConfigError, InfeasibleModelError, TimingDurations,
@@ -293,6 +296,45 @@ def test_sector_count_above_contention_slots_is_refused_before_the_split(
         with pytest.raises(ConfigError, match="^every sector service period "
                                               "must be >= 1 slot$"):
             make_params(n=10, q=5, cbap_slots=4, cbap_split_rule=rule)
+
+
+CONSTRUCTION_PATHS = {
+    "make_params": lambda p: make_params(**p._asdict()),
+    "constructor": lambda p: config.ModelParams(n=p.n, q=p.q),
+    "_make": lambda p: config.ModelParams._make(p),
+    "_replace": lambda p: p._replace(),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+}
+
+
+@pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+def test_every_construction_path_validates(monkeypatch, path):
+    params = make_params(n=10, q=2)
+    build = CONSTRUCTION_PATHS[path]
+    rebuilt = build(params)
+    assert type(rebuilt) is config.ModelParams
+    assert repr(rebuilt) == repr(params)
+
+    def refuse(*args):
+        raise ConfigError("checked")
+
+    monkeypatch.setattr(config, "window_sizes", refuse)
+    with pytest.raises(ConfigError, match="^checked$"):
+        build(params)
+
+
+def test_replace_checks_and_derives_like_make_params():
+    params = make_params(n=10, q=2)
+    assert params._replace(w0=15) == make_params(n=10, q=2, w0=15)
+    with pytest.raises(ConfigError,
+                       match="^sector_populations sums to 10, expected n=20$"):
+        params._replace(n=20)
+    assert params._replace(n=20, sector_populations=()) == make_params(n=20,
+                                                                       q=2)
+    assert params._replace(q=4, sector_populations=(), cbap_split=()) == (
+        make_params(n=10, q=4))
 
 
 def test_parse_config_file_roundtrip(tmp_path):

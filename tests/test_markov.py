@@ -389,6 +389,22 @@ def test_coupled_solutions_are_pinned(m):
     assert digest == COUPLING_PINS[m]
 
 
+@pytest.mark.parametrize("n_k", [1, 2, 30])
+def test_the_root_is_walked_once(n_k):
+    # one packet walk per bisection step, whose cycle and counts the
+    # solution reads at the root; n_k = 1 walks once, at zero odds
+    walks = []
+
+    def counted(p_idle, widths):
+        walks.append(p_idle)
+        return _packet_walk(p_idle, widths)
+
+    with mock.patch.object(markov, "_packet_walk", counted):
+        sol = solve_idle_slot_coupling(n_k, 7, 5)
+    assert len(walks) == max(sol.iterations, 1)
+    assert walks[-1] == sol.p_after_idle
+
+
 # --- delivered-packet counts ---
 
 def delivered_counts(p_idle, p_zero, widths):
@@ -537,7 +553,8 @@ def test_coupled_cycle_equals_the_packet_cycle_composition(alpha, n_k, w0, m,
             _coupled_cycle(alpha, n_k, widths)
     else:
         with recording:
-            assert repr(_coupled_cycle(alpha, n_k, widths)) == repr(expected)
+            coupled = _coupled_cycle(alpha, n_k, widths)[:3]
+            assert repr(coupled) == repr(expected)
     assert repr(got) == repr(want)
 
 
@@ -549,7 +566,7 @@ def test_bisected_rate_terms_are_the_packet_cycle_floats(alpha, n_k, w0, m,
     # floats of the stage-by-stage formulas, each summed in stage order
     widths = window_sizes(w0, m, rule)
     try:
-        p_idle, p_zero, cycle = _coupled_cycle(alpha, n_k, widths)
+        p_idle, p_zero, cycle, _ = _coupled_cycle(alpha, n_k, widths)
     except (InfeasibleModelError, ZeroDivisionError):
         return
     assert repr(tuple(cycle)) == repr(

@@ -460,7 +460,7 @@ def test_population_beyond_stream_key_space_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [-1], ids=["negative"])
-def test_seed_beyond_philox_key_rejected(seed):
+def test_negative_seed_rejected(seed):
     # random.Random seeds from abs(key), so a negative seed would alias a
     # positive one
     params = make_params(n=2)
