@@ -2,11 +2,11 @@
 
 Run from anywhere inside the repository:
 
-    python3 scripts/bench_record.py                 # 25 s per run, seed 0
+    python3 scripts/bench_record.py                 # 25 s per run
     python3 scripts/bench_record.py --seconds 0     # one round per run
 
 For each workload of ``BENCHMARK.json`` it runs ``bench/run.py`` twice at
-one seed: with ``--trace 0`` for the end-to-end metrics and with
+seed 0: with ``--trace 0`` for the end-to-end metrics and with
 ``--trace 1`` for the per-layer metrics.  From each run it reads the
 ``outputs sha256=... ops=... rounds=...`` line and the JSON object of the
 last line.  The record holds the commit and whether the tracked files
@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "bench" / "run.py"
+SEED = 0
 
 
 def _git(*args):
@@ -41,11 +42,11 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seconds, trace):
     """The last line's JSON of one run, with the digest and round count of
     the line before it."""
     done = subprocess.run(
-        [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
+        [sys.executable, str(RUN), "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True)
     digest_line, last = done.stdout.splitlines()[-2:]
@@ -54,16 +55,16 @@ def run_once(workload, seed, seconds, trace):
             **json.loads(last)}
 
 
-def record(workload, seed, seconds, commit, dirty):
+def record(workload, seconds, commit, dirty):
     """The record of one workload: an untraced and a traced run."""
-    plain = run_once(workload, seed, seconds, 0)
-    traced = run_once(workload, seed, seconds, 1)
+    plain = run_once(workload, seconds, 0)
+    traced = run_once(workload, seconds, 1)
     runs = {"end_to_end": plain, "per_layer": traced}
     return {
         "workload": workload,
         "commit": commit,
         "dirty": dirty,
-        "seed": seed,
+        "seed": SEED,
         "seconds": seconds,
         "python": platform.python_version(),
         "cpus": _usable_cpus(),
@@ -82,7 +83,6 @@ def main(argv=None):
         benchmark = json.load(fh)
     names = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float,
                         default=benchmark["run_seconds"])
     args = parser.parse_args(argv)
@@ -92,7 +92,7 @@ def main(argv=None):
                       ".", ":(exclude)BENCH_*.json"))
     ok = True
     for workload in names:
-        rec = record(workload, args.seed, args.seconds, commit, dirty)
+        rec = record(workload, args.seconds, commit, dirty)
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(rec, indent=2) + "\n", encoding="utf-8")
         print(f"{path.name}: correct={rec['correct']} failed={rec['failed']} "
