@@ -19,14 +19,11 @@ _EXPORTS = {
                "InternalConsistencyError", "OracleError", "OracleSizeError",
                "ValidationError"),
     "config": ("ModelParams", "SectorModel", "TimingDurations",
-               "derive_sector_models", "derive_timings", "frame_airtime",
-               "make_params", "parse_config_file", "slot_quantized",
-               "window_sizes"),
+               "derive_sector_models", "derive_timings", "make_params",
+               "slot_quantized", "window_sizes"),
     "markov": ("CoupledSolution", "FixedPointSolution", "SlotProbabilities",
-               "b000_closed_form", "collision_probability", "eta_terms",
-               "solve_fixed_point", "solve_idle_slot_coupling",
-               "steady_state_vector", "tau_of"),
-    "chain": ("DEFAULT_GRID", "ExplicitChain", "build_chain", "raw_sector",
+               "solve_fixed_point", "solve_idle_slot_coupling"),
+    "chain": ("DEFAULT_GRID", "ExplicitChain", "build_chain",
               "stationary_distribution", "validation_report"),
     "metrics": ("PerformanceReport", "analyze", "expected_delay",
                 "sector_utilization", "service_weighted_mean", "sigma_avg"),

@@ -289,6 +289,9 @@ _BOOL_STRINGS = {"true": True, "false": False, "yes": True, "no": False,
 def _parse_value(key, raw):
     raw = raw.strip()
     kind = _FIELD_TYPES[key]
+    # an output's header quotes its strings: window_rule='doubling'
+    if kind is str and len(raw) > 1 and raw[0] == raw[-1] and raw[0] in "'\"":
+        return raw[1:-1]
     try:
         if kind is tuple:
             return tuple(int(part) for part in raw.split(",") if part.strip())

@@ -39,7 +39,6 @@ class FixedPointSolution(NamedTuple):
 
     tau: float
     p: float
-    b000: float
     iterations: int
     residual: float
 
@@ -103,11 +102,11 @@ def collision_probability(tau, n_k):
 
 
 def _tau_residual(tau, sector, w0, m, window_rule):
-    """G(tau) = tau_of(p(tau)) - tau along with its intermediates."""
+    """G(tau) = tau_of(p(tau)) - tau, and the collision probability p."""
     p = collision_probability(tau, sector.n_k)
     eta, eta_prime = eta_terms(p, sector.p_f, sector.p_h, sector.p_h_prime)
     b000 = b000_closed_form(p, w0, m, eta, eta_prime, window_rule)
-    return tau_of(p, b000, m) - tau, p, b000
+    return tau_of(p, b000, m) - tau, p
 
 
 def _bisect(residual, lo, hi, what):
@@ -139,9 +138,8 @@ def solve_fixed_point(sector, w0, m, window_rule="doubling"):
     if sector.n_k < 1:
         raise ConfigError(f"n_k must be >= 1, got {sector.n_k}")
     if sector.n_k == 1:
-        g, p, b000 = _tau_residual(0.0, sector, w0, m, window_rule)
-        return FixedPointSolution(tau=g, p=p, b000=b000, iterations=0,
-                                  residual=0.0)
+        g, p = _tau_residual(0.0, sector, w0, m, window_rule)
+        return FixedPointSolution(tau=g, p=p, iterations=0, residual=0.0)
 
     lo = TAU_EPS
     hi = 1.0 - TAU_EPS
@@ -153,48 +151,19 @@ def solve_fixed_point(sector, w0, m, window_rule="doubling"):
         )
     hi = min(hi, 1.0 - (1.0 - pb_cap) ** (1.0 / (sector.n_k - 1)))
 
-    g_lo, *_ = _tau_residual(lo, sector, w0, m, window_rule)
-    g_hi, *_ = _tau_residual(hi, sector, w0, m, window_rule)
+    g_lo, _ = _tau_residual(lo, sector, w0, m, window_rule)
+    g_hi, _ = _tau_residual(hi, sector, w0, m, window_rule)
     if g_lo * g_hi > 0.0:
         raise InfeasibleModelError(
             f"no attempt-rate fixed point in ({lo}, {hi:.6g}): "
             f"G({lo})={g_lo:.3g}, G({hi:.6g})={g_hi:.3g}"
         )
 
-    tau, iterations, (g, p, b000) = _bisect(
+    tau, iterations, (g, p) = _bisect(
         lambda mid: _tau_residual(mid, sector, w0, m, window_rule),
         lo, hi, "fixed point")
-    return FixedPointSolution(tau=tau, p=p, b000=b000, iterations=iterations,
+    return FixedPointSolution(tau=tau, p=p, iterations=iterations,
                               residual=abs(g))
-
-
-def steady_state_vector(sol, sector, w0, m, window_rule="doubling"):
-    """Expand a fixed-point solution into per-state probabilities.
-
-    Counter states carry the uniform-draw overhang (w - j) / w of their
-    stage inflow, divided by the slot-advance probability that matches the
-    column (ordinary vs deferral-prone); suspended twins carry the
-    boundary-hit share of that mass spread over the geometric return time.
-    Returns the probabilities keyed by (stage, counter, flag).
-    """
-    widths = window_sizes(w0, m, window_rule)
-    p, b000 = sol.p, sol.b000
-    entries = {}
-    for i, w in enumerate(widths):
-        inflow = (1.0 - p ** (m + 1)) * b000 if i == 0 else (p ** i) * b000
-        entries[(i, 0, 0)] = (p ** i) * b000
-        for j in range(1, w):
-            column = sector.p_h_prime if j == 1 else sector.p_h
-            advance = 1.0 - sol.p - column
-            mass = inflow * (w - j) / w / advance
-            entries[(i, j, 0)] = mass
-            entries[(i, j, -1)] = mass * column / (1.0 - sector.p_f)
-    total = left_sum(entries.values())
-    if abs(total - 1.0) > 1e-9:
-        raise InternalConsistencyError(
-            f"steady-state vector sums to {total}, expected 1"
-        )
-    return entries
 
 
 class SlotProbabilities(NamedTuple):

@@ -217,12 +217,13 @@ def empirical_report(stats, params):
     """
     sigma = params.slot_time
     t_data = derive_timings(params).t_data
-    us, delays, drops = [], [], []
+    us, delays, drops, totals = [], [], [], []
     for k, cbap_k in enumerate(stats.sector_cbap_slots):
         window_time = cbap_k * sigma * stats.num_bi
         us.append(stats.successes[k] * t_data / window_time)
         sector = stats.delays[k]
-        delays.append(sum(sector) * sigma / len(sector) if sector else None)
+        totals.append(sum(sector))
+        delays.append(totals[-1] * sigma / len(sector) if sector else None)
         finished = stats.successes[k] + stats.dropped[k]
         drops.append(stats.dropped[k] / finished if finished else None)
     delivered = sum(map(len, stats.delays))
@@ -231,8 +232,7 @@ def empirical_report(stats, params):
         per_sector_u=tuple(us),
         aggregate_u=service_weighted_mean(us, stats.sector_cbap_slots),
         per_sector_delay=tuple(delays),
-        mean_delay=(sum(map(sum, stats.delays)) * sigma / delivered
-                    if delivered else None),
+        mean_delay=sum(totals) * sigma / delivered if delivered else None,
         per_sector_drop_prob=tuple(drops),
         drop_prob=sum(stats.dropped) / finished if finished else None,
         diagnostics=(),

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies
 from scipy.sparse import csr_array
 
 from admac import (ConfigError, ExplicitChain, OracleError, OracleSizeError,
-                   b000_closed_form, build_chain, derive_sector_models,
-                   derive_timings, eta_terms, make_params, raw_sector,
-                   solve_fixed_point, stationary_distribution, tau_of,
+                   build_chain, derive_sector_models, derive_timings,
+                   make_params, solve_fixed_point, stationary_distribution,
                    validation_report, window_sizes)
+from admac.chain import raw_sector
+from admac.markov import b000_closed_form, eta_terms, tau_of
 from conftest import chain_states
 
 
@@ -46,6 +47,23 @@ def test_state_count():
     assert chain.n_states == 7 + 15 + 31
     assert len(chain_states(window_sizes(4, 2))) == chain.n_states
     assert chain.heads == (0, 7, 22)
+
+
+@pytest.mark.parametrize("rule", ["doubling", "doubling-minus-one"])
+def test_rows_follow_the_documented_layout(rule):
+    # stage i takes 2 W_i - 1 rows: its head, W_i - 1 counters, then their
+    # twins; a counter decrements, holds or suspends, a twin returns or stays
+    chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 2,
+                        window_rule=rule)
+    widths = window_sizes(4, 2, rule)
+    assert chain.heads == tuple(sum(2 * w - 1 for w in widths[:i])
+                                for i in range(len(widths)))
+    dense = chain.matrix.toarray()
+    for head, w in zip(chain.heads, widths):
+        for r in range(head + 1, head + w):
+            assert list(np.flatnonzero(dense[r])) == [r - 1, r, r + w - 1]
+            twin = r + w - 1
+            assert list(np.flatnonzero(dense[twin])) == [r, twin]
 
 
 def test_smallest_chain_hand_solution():

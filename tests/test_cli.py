@@ -118,6 +118,27 @@ def test_flag_overrides_config_file(tmp_path):
     assert rows[0]["w0"] == "15"
 
 
+@pytest.mark.parametrize("command, config_flags, run_flags", [
+    ("solve", ["--n", "12", "--q", "2", "--cbap-fraction", "0.4"], []),
+    ("simulate", ["--n", "6", "--cbap-fraction", "0.5",
+                  "--window-rule", "doubling-minus-one"],
+     ["--seeds", "0", "--num-bi", "2"]),
+])
+def test_output_header_reads_back_as_its_config(tmp_path, command,
+                                                config_flags, run_flags):
+    first, cfg, second = (tmp_path / name for name in ("1.csv", "h.cfg",
+                                                        "2.csv"))
+    assert main([command, *config_flags, *run_flags, "--out", str(first)]) == 0
+    text = first.read_text(encoding="utf-8")
+    cfg.write_text("".join(line[2:] for line in text.splitlines(True)
+                           if line.startswith("# ")
+                           and not line.startswith("# config_hash=")),
+                   encoding="utf-8")
+    assert main([command, "--config", str(cfg), *run_flags,
+                 "--out", str(second)]) == 0
+    assert second.read_text(encoding="utf-8") == text
+
+
 def test_unknown_config_file_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 3\n")

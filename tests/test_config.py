@@ -6,10 +6,10 @@ import pickle
 import pytest
 
 from admac import (ConfigError, InfeasibleModelError, TimingDurations,
-                   derive_sector_models, derive_timings, frame_airtime,
-                   make_params, parse_config_file, slot_quantized,
-                   window_sizes)
+                   derive_sector_models, derive_timings, make_params,
+                   slot_quantized, window_sizes)
 from admac import config
+from admac.config import frame_airtime, parse_config_file
 
 MICRO = 1e-6
 

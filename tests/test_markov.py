@@ -1,4 +1,4 @@
-"""Closed-form normalization, fixed point, and steady-state vector."""
+"""Closed-form normalization, fixed point, and idle-slot coupling."""
 
 import hashlib
 from decimal import Decimal, localcontext
@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from admac import (AdmacError, ConfigError, InfeasibleModelError,
-                   b000_closed_form, build_chain, collision_probability,
-                   eta_terms, raw_sector, solve_fixed_point,
-                   solve_idle_slot_coupling, stationary_distribution,
-                   steady_state_vector, tau_of, window_sizes)
+                   build_chain, solve_fixed_point, solve_idle_slot_coupling,
+                   stationary_distribution, window_sizes)
 from admac import markov
-from admac.markov import _after_collision, _coupled_cycle, _packet_walk
-from conftest import chain_states
+from admac.chain import raw_sector
+from admac.markov import (_after_collision, _coupled_cycle, _packet_walk,
+                          b000_closed_form, collision_probability,
+                          eta_terms, tau_of)
 
 
 def test_eta_terms_degenerate_case():
@@ -201,43 +201,6 @@ def test_fixed_point_rejects_saturated_boundary():
     sector = raw_sector(0.5, 1.0 - 1e-12, 0.0, n_k=4)
     with pytest.raises(InfeasibleModelError):
         solve_fixed_point(sector, 7, 5)
-
-
-def test_steady_state_vector_structure():
-    sector = raw_sector(1e-4, 1.4e-3, 0.6, n_k=10)
-    sol = solve_fixed_point(sector, 7, 5)
-    vec = steady_state_vector(sol, sector, 7, 5)
-    assert sum(vec.values()) == pytest.approx(1.0, abs=1e-9)
-    transmit_mass = sum(vec[(i, 0, 0)] for i in range(6))
-    assert transmit_mass == pytest.approx(sol.tau, rel=1e-9)
-    for i in range(6):
-        assert vec[(i, 0, 0)] == pytest.approx(
-            sol.p ** i * sol.b000, rel=1e-12)
-    assert all(v >= 0.0 for v in vec.values())
-
-
-def test_steady_state_vector_no_collisions_all_mass_in_stage_zero():
-    sector = raw_sector(1e-4, 1.4e-3, 0.6, n_k=1)
-    sol = solve_fixed_point(sector, 7, 5)
-    vec = steady_state_vector(sol, sector, 7, 5)
-    upper = sum(v for (i, _, _), v in vec.items() if i > 0)
-    assert upper == 0.0
-
-
-def test_steady_state_vector_matches_oracle_entrywise():
-    # the oracle's rows are keyed by the row order conftest documents, so
-    # this also checks build_chain's layout against the closed form
-    sector = raw_sector(0.01, 0.05, 0.6, n_k=8)
-    w0, m = 4, 2
-    for rule in ("doubling", "doubling-minus-one"):
-        sol = solve_fixed_point(sector, w0, m, window_rule=rule)
-        vec = steady_state_vector(sol, sector, w0, m, window_rule=rule)
-        chain = build_chain(sol.p, sector, w0, m, window_rule=rule)
-        states = chain_states(window_sizes(w0, m, rule))
-        oracle = dict(zip(states, stationary_distribution(chain), strict=True))
-        assert set(vec) == set(oracle)
-        worst = max(abs(vec[s] - oracle[s]) for s in vec)
-        assert worst <= 1e-9, rule
 
 
 # --- idle-slot coupling ---
