@@ -20,7 +20,7 @@ _EXPORTS = {
                "ValidationError"),
     "config": ("ModelParams", "SectorModel", "TimingDurations",
                "derive_sector_models", "derive_timings", "make_params",
-               "slot_quantized", "window_sizes"),
+               "window_sizes"),
     "markov": ("CoupledSolution", "FixedPointSolution", "SlotProbabilities",
                "solve_fixed_point", "solve_idle_slot_coupling"),
     "chain": ("DEFAULT_GRID", "ExplicitChain", "build_chain",

@@ -109,7 +109,10 @@ def _with_flag(overrides, name, value):
         slots = value * 1e-3 / slot_time
         target = "bi_slots"
     elif name == "cbap_fraction":
-        slots = value * overrides.get("bi_slots", defaults["bi_slots"])
+        try:
+            slots = value * overrides.get("bi_slots", defaults["bi_slots"])
+        except OverflowError:  # a bi_slots that rounds past the largest float
+            slots = math.inf
         target = "cbap_slots"
     else:
         return {**overrides, name: value}

@@ -4,7 +4,7 @@ A beacon interval of ``bi_slots`` idle slots is divided into sector service
 periods; contention happens only inside a station's own period.  This module
 turns raw configuration (populations, window sizes, frame sizes, PHY rates)
 into the derived quantities the analytical model and the simulator share:
-frame airtimes, slot-quantized frame durations, and per-sector transition
+frame airtimes, whole-slot exchange durations, and per-sector transition
 constants.
 """
 
@@ -177,18 +177,13 @@ def window_sizes(w0, m, rule="doubling"):
     return tuple((2 ** i) * w0 - less for i in range(m + 1))
 
 
-def frame_airtime(num_bytes, rate, phy_overhead=0.0):
+def _frame_airtime(num_bytes, rate, phy_overhead):
     """Seconds to serialize a frame: PHY preamble plus payload bits."""
-    if num_bytes < 1:
-        raise ConfigError(f"frame size must be >= 1 byte, got {num_bytes}")
-    if rate <= 0:
-        raise ConfigError(f"rate must be > 0, got {rate}")
-    check_least("phy_overhead", phy_overhead)
     return phy_overhead + 8.0 * num_bytes / rate
 
 
 class TimingDurations(NamedTuple):
-    """Event durations derived from frame sizes and rates."""
+    """Payload airtime, and each exchange in whole slots: seconds and count."""
 
     t_data: float
     t_suc: float
@@ -203,14 +198,15 @@ def derive_timings(params):
     A successful exchange spends the RTS, two SIFS gaps, the CTS, a DIFS,
     the data frame, and the ACK; with ``strict_timing`` disabled an extra
     SIFS is inserted before the acknowledgment.  A collision costs the RTS
-    plus SIFS, DIFS, and the RIFS recovery gap.  ``n_frame_slots`` and
-    ``n_col_slots`` are the two exchanges rounded up to whole slots, as the
-    simulator charges them.
+    plus SIFS, DIFS, and the RIFS recovery gap.  The simulator and the
+    analytic layer charge each exchange rounded up to whole slots:
+    ``n_frame_slots`` and ``n_col_slots``, or ``t_suc`` and ``t_col`` in
+    seconds.  The checks read the exchanges' real lengths.
     """
-    t_rts = frame_airtime(params.rts_bytes, params.control_rate, params.phy_overhead)
-    t_cts = frame_airtime(params.cts_bytes, params.control_rate, params.phy_overhead)
-    t_ack = frame_airtime(params.ack_bytes, params.control_rate, params.phy_overhead)
-    t_data = frame_airtime(params.msdu_bytes, params.data_rate, params.phy_overhead)
+    t_rts = _frame_airtime(params.rts_bytes, params.control_rate, params.phy_overhead)
+    t_cts = _frame_airtime(params.cts_bytes, params.control_rate, params.phy_overhead)
+    t_ack = _frame_airtime(params.ack_bytes, params.control_rate, params.phy_overhead)
+    t_data = _frame_airtime(params.msdu_bytes, params.data_rate, params.phy_overhead)
     t_suc = t_rts + 2.0 * params.sifs + t_cts + params.difs + t_data + t_ack
     if not params.strict_timing:
         t_suc += params.sifs
@@ -222,24 +218,14 @@ def derive_timings(params):
     if not math.isfinite(t_suc / params.slot_time):
         raise ConfigError(f"a success exchange of {t_suc} s is not a finite "
                           f"number of {params.slot_time} s slots")
+    n_frame_slots = math.ceil(t_suc / params.slot_time)
+    n_col_slots = math.ceil(t_col / params.slot_time)
     return TimingDurations(
         t_data=t_data,
-        t_suc=t_suc,
-        t_col=t_col,
-        n_frame_slots=math.ceil(t_suc / params.slot_time),
-        n_col_slots=math.ceil(t_col / params.slot_time),
-    )
-
-
-def slot_quantized(timings, slot_time):
-    """The same timings with each exchange rounded up to whole slots.
-
-    The simulator charges a success ``n_frame_slots`` slots and a collision
-    ``n_col_slots`` slots; the analytic layer charges the same.
-    """
-    return timings._replace(
-        t_suc=timings.n_frame_slots * slot_time,
-        t_col=timings.n_col_slots * slot_time,
+        t_suc=n_frame_slots * params.slot_time,
+        t_col=n_col_slots * params.slot_time,
+        n_frame_slots=n_frame_slots,
+        n_col_slots=n_col_slots,
     )
 
 

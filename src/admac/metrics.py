@@ -5,14 +5,14 @@ real-time cost of idle, success, and collision steps; delay prices the
 backoff ticks and collisions that the coupled solution counts for a
 delivered packet.  Real time enters through the mean embedded-step
 duration ``sigma_avg``, which charges each step its share of the
-out-of-period gap.  ``analyze`` charges busy steps the slot-quantized
-durations the simulator charges, and weights every network value by
-service period.
+out-of-period gap.  Busy steps last the whole-slot exchanges of
+``derive_timings``, as in the simulator, and ``analyze`` weights every
+network value by service period.
 """
 
 from typing import NamedTuple
 
-from .config import derive_sector_models, derive_timings, slot_quantized
+from .config import derive_sector_models, derive_timings
 from .errors import InfeasibleModelError
 from .markov import solve_idle_slot_coupling
 from .numeric import left_sum
@@ -98,7 +98,6 @@ def analyze(params):
     """Full analytical report for one parameter set."""
     timings = derive_timings(params)
     sectors = derive_sector_models(params, timings)
-    charged = slot_quantized(timings, params.slot_time)
     us, delays, drops, sols = [], [], [], []
     solved = {}  # the coupling depends on the sector only through n_k
     for sector in sectors:
@@ -108,8 +107,8 @@ def analyze(params):
                 sector.n_k, params.w0, params.m,
                 window_rule=params.window_rule,
             )
-        us.append(sector_utilization(sol.steps, charged, params.slot_time))
-        delays.append(expected_delay(sol, charged, sector, params))
+        us.append(sector_utilization(sol.steps, timings, params.slot_time))
+        delays.append(expected_delay(sol, timings, sector, params))
         drops.append(sol.drop_prob)
         sols.append(sol)
     weights = [s.cbap_k_slots for s in sectors]

@@ -2,8 +2,8 @@
 
 Time is a global integer slot clock.  Within a sector's service window,
 every station whose counter is zero transmits; one transmitter is a success
-consuming ceil(t_suc / slot) slots, two or more are a collision consuming
-ceil(t_col / slot) slots, and an idle slot decrements every counter by one.
+consuming ``n_frame_slots`` slots, two or more are a collision consuming
+``n_col_slots`` slots, and an idle slot decrements every counter by one.
 A transmission may start only when the remaining window still fits a full
 exchange, so the final stretch of each window is provably transmission-free
 and counters there sink to one (the deferral rule) while zeros wait for the

@@ -178,7 +178,7 @@ def test_criterion_7_determinism_and_conservation(sim_bank, tmp_path):
         params = bank_params(w0=w0, n=n, cbap_fraction=cbap_fraction, q=q)
         timings = derive_timings(params)
         nf = timings.n_frame_slots
-        nc = math.ceil(timings.t_col / params.slot_time)
+        nc = timings.n_col_slots
         for stats in runs:
             for k, cbap_k in enumerate(params.cbap_split):
                 spent = (stats.idle_slots[k] + nf * stats.successes[k]

@@ -272,6 +272,28 @@ def test_sweep_refuses_a_base_integer_past_a_float(line, name, tmp_path, capsys)
         f"config error: {name} must be finite, got an integer of 1329 bits\n"
 
 
+SHARE_PAST_A_FLOAT = ("cbap_fraction 0.4 gives cbap_slots = inf, not a finite "
+                      "number of slots")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["solve", "--cbap-fraction", "0.4"], SHARE_PAST_A_FLOAT),
+    (["simulate", "--cbap-fraction", "0.4", "--seeds", "0", "--num-bi", "1"],
+     SHARE_PAST_A_FLOAT),
+    # no point can be built, so the sweep reports its base's error
+    (["sweep", "--param", "cbap_fraction", "--values", "0.4,0.5"],
+     "bi_slots must be finite, got an integer of 1329 bits"),
+], ids=["solve", "simulate", "sweep"])
+def test_share_of_an_interval_past_a_float_is_config_error(command, message,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(OVERFLOWING_INTEGERS[1] + "\n")
+    assert main([*command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 NO_STATION = "every sector must hold at least one station"
 NO_SLOT = "every sector service period must be >= 1 slot"
 
@@ -747,6 +769,21 @@ def test_compare_without_join_is_config_error(tmp_path, capsys):
     _, sim_csv = make_pair(tmp_path, n="6")
     assert main(["compare", str(analytic_csv), str(sim_csv)]) == 1
     assert "no joinable rows" in capsys.readouterr().err
+
+
+def test_compare_skips_the_error_rows_of_a_sweep(tmp_path):
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--param", "cbap_fraction", "--values", "0.0005,0.4",
+                 "--n", "5", "--mode", "both", "--seeds", "0-1",
+                 "--num-bi", "3", "--out", str(sweep)]) == 0
+    _, rows = read_csv(sweep)
+    assert [row["error"] != "" for row in rows] == [True] * 3 + [False] * 3
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", str(sweep), str(sweep), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2:] == [
+        "5,1,7,5,0.4,0.35189902045704496,0.35031425000000005,"
+        "-0.00450348072860965,0.0009293552617373276,0.000808905871281834,"
+        "-0.1296053246960982"]
 
 
 @pytest.mark.parametrize("header, row, column", [

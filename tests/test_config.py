@@ -7,80 +7,75 @@ import pytest
 
 from admac import (ConfigError, InfeasibleModelError, TimingDurations,
                    derive_sector_models, derive_timings, make_params,
-                   slot_quantized, window_sizes)
+                   window_sizes)
 from admac import config
-from admac.config import frame_airtime, parse_config_file
+from admac.config import _frame_airtime, parse_config_file
 
 MICRO = 1e-6
 
 
 def test_frame_airtime_data_frame():
     # 7995 bytes at 2 Gb/s: 31.98 us of pure serialization
-    assert frame_airtime(7995, 2e9) == pytest.approx(31.98 * MICRO, rel=1e-12)
+    assert _frame_airtime(7995, 2e9, 0.0) == pytest.approx(31.98 * MICRO,
+                                                           rel=1e-12)
 
 
 def test_frame_airtime_control_frame():
-    assert frame_airtime(20, 27.5e6) == pytest.approx(
+    assert _frame_airtime(20, 27.5e6, 0.0) == pytest.approx(
         160 / 27.5e6, rel=1e-12)
 
 
 def test_frame_airtime_overhead_adds():
-    base = frame_airtime(100, 1e9)
-    assert frame_airtime(100, 1e9, phy_overhead=2 * MICRO) == pytest.approx(
+    base = _frame_airtime(100, 1e9, 0.0)
+    assert _frame_airtime(100, 1e9, 2 * MICRO) == pytest.approx(
         base + 2 * MICRO, rel=1e-12)
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(num_bytes=0, rate=1e9),
-    dict(num_bytes=10, rate=0.0),
-    dict(num_bytes=10, rate=-5.0),
-    dict(num_bytes=10, rate=1e9, phy_overhead=-1e-9),
-])
-def test_frame_airtime_rejects_bad_inputs(kwargs):
-    with pytest.raises(ConfigError):
-        frame_airtime(**kwargs)
+# a slot short enough that each whole-slot charge is within one slot of
+# the real exchange
+FINE_SLOT = 1e-12
 
 
 def test_derive_timings_default_scenario():
-    params = make_params()
-    t = derive_timings(params)
+    t = derive_timings(make_params(slot_time=FINE_SLOT))
     t_rts = 160 / 27.5e6
     t_cts = 208 / 27.5e6
     t_ack = 112 / 27.5e6
     t_data = 63960 / 2e9
     expected_suc = t_rts + 2 * 2.5 * MICRO + t_cts + 13.5 * MICRO + t_data + t_ack
-    assert t.t_suc == pytest.approx(expected_suc, rel=1e-12)
-    assert t.t_col == pytest.approx(t_rts + 25 * MICRO, rel=1e-12)
+    assert t.t_suc == pytest.approx(expected_suc, abs=FINE_SLOT)
+    assert t.t_col == pytest.approx(t_rts + 25 * MICRO, abs=FINE_SLOT)
     assert t.t_data == pytest.approx(t_data, rel=1e-12)
     # 67.93 us and 30.82 us / 5 us round up to 14 and 7 whole slots
+    t = derive_timings(make_params())
     assert t.n_frame_slots == 14
     assert t.n_col_slots == 7
 
 
 def test_derive_timings_loose_mode_adds_one_sifs():
-    strict = derive_timings(make_params())
-    loose = derive_timings(make_params(strict_timing=False))
-    assert loose.t_suc - strict.t_suc == pytest.approx(2.5 * MICRO, rel=1e-9)
+    strict = derive_timings(make_params(slot_time=FINE_SLOT))
+    loose = derive_timings(make_params(slot_time=FINE_SLOT, strict_timing=False))
+    assert loose.t_suc - strict.t_suc == pytest.approx(2.5 * MICRO,
+                                                       abs=FINE_SLOT)
 
 
 def test_timing_identity_between_success_and_collision():
-    params = make_params()
+    params = make_params(slot_time=FINE_SLOT)
     t = derive_timings(params)
-    t_cts, t_ack = (frame_airtime(size, params.control_rate, params.phy_overhead)
+    t_cts, t_ack = (_frame_airtime(size, params.control_rate, params.phy_overhead)
                     for size in (params.cts_bytes, params.ack_bytes))
     expected_gap = (params.sifs - params.rifs + t_cts + t.t_data + t_ack)
-    assert t.t_suc - t.t_col == pytest.approx(expected_gap, rel=1e-12)
+    assert t.t_suc - t.t_col == pytest.approx(expected_gap, abs=FINE_SLOT)
 
 
-def test_slot_quantized_rounds_exchanges_up_to_whole_slots():
+def test_derive_timings_charges_whole_slots():
     params = make_params()
     t = derive_timings(params)
-    q = slot_quantized(t, params.slot_time)
     # 67.93 us and 30.82 us cost 14 and 7 slots of 5 us
-    assert q.t_suc == pytest.approx(70 * MICRO, rel=1e-15)
-    assert q.t_col == pytest.approx(35 * MICRO, rel=1e-15)
-    assert (q.t_data, q.n_frame_slots, q.n_col_slots) == \
-        (t.t_data, t.n_frame_slots, t.n_col_slots)
+    assert t.t_suc == t.n_frame_slots * params.slot_time
+    assert t.t_col == t.n_col_slots * params.slot_time
+    assert t.t_suc == pytest.approx(70 * MICRO, rel=1e-15)
+    assert t.t_col == pytest.approx(35 * MICRO, rel=1e-15)
 
 
 def test_derive_timings_rejects_collision_longer_than_success():

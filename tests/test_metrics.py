@@ -10,8 +10,7 @@ from admac import (AdmacError, ConfigError, CoupledSolution,
                    InfeasibleModelError, SectorModel, SlotProbabilities,
                    analyze, derive_sector_models, derive_timings,
                    expected_delay, make_params, sector_utilization,
-                   service_weighted_mean, sigma_avg, slot_quantized,
-                   window_sizes)
+                   service_weighted_mean, sigma_avg, window_sizes)
 from conftest import bank_params, mean_sim_u
 
 
@@ -123,7 +122,7 @@ def test_sigma_avg_degenerate_boundary_pays_whole_gap():
 
 def test_sigma_avg_charges_boundary_once_per_step_slot():
     params = make_params()
-    timings = slot_quantized(derive_timings(params), params.slot_time)
+    timings = derive_timings(params)
     gap = (params.bi_slots - 8000) * params.slot_time
     # idle steps last one slot: the hazard is p_h itself
     idle = make_sp(0.9, 0.05, 0.05)
@@ -196,7 +195,7 @@ def test_delay_matches_independent_formula():
     # analyze's own delay against an enumeration of every path of zero and
     # non-zero draws through the stages, no shared loop
     params = make_params(n=30, cbap_slots=8000, m=5)
-    timings = slot_quantized(derive_timings(params), params.slot_time)
+    timings = derive_timings(params)
     sector = derive_sector_models(params, timings)[0]
     report = analyze(params)
     sol = report.diagnostics[0]

@@ -56,7 +56,7 @@ def reference_sim(params, timings, seed, num_bi):
     stations = ref_stations(params, seed)
     widths = window_sizes(params.w0, params.m, params.window_rule)
     nf = timings.n_frame_slots
-    nc = math.ceil(timings.t_col / params.slot_time)
+    nc = timings.n_col_slots
     starts = []
     s0 = 0
     for length in params.cbap_split:
@@ -263,7 +263,7 @@ def test_two_station_run_matches_exact_joint_chain():
     params = make_params(n=2, w0=4, m=1, bi_slots=20000, cbap_slots=20000)
     timings = derive_timings(params)
     nf = timings.n_frame_slots
-    nc = math.ceil(timings.t_col / params.slot_time)
+    nc = timings.n_col_slots
     sigma = params.slot_time
     pi_idle, pi_suc, pi_col = joint_chain_prediction(4, 1)
     u_pred = pi_suc * timings.t_data / (
@@ -320,7 +320,7 @@ def test_slot_conservation_is_integer_exact(overrides):
     params = make_params(**overrides)
     timings = derive_timings(params)
     nf = timings.n_frame_slots
-    nc = math.ceil(timings.t_col / params.slot_time)
+    nc = timings.n_col_slots
     for seed in (0, 1, 2):
         stats = run_simulation(params, timings, seed=seed, num_bi=20)
         for k, cbap_k in enumerate(params.cbap_split):
@@ -363,7 +363,7 @@ def test_coupling_tracks_exact_two_station_chain(w0, m):
     params = make_params(n=2, w0=w0, m=m, bi_slots=20000, cbap_slots=20000)
     timings = derive_timings(params)
     nf = timings.n_frame_slots
-    nc = math.ceil(timings.t_col / params.slot_time)
+    nc = timings.n_col_slots
     pi_idle, pi_suc, pi_col = joint_chain_prediction(w0, m)
     u_exact = pi_suc * timings.t_data / (
         params.slot_time * (pi_idle + pi_suc * nf + pi_col * nc))
