@@ -18,6 +18,7 @@ MICRO = 1e-6
 # what each window rule subtracts from 2**i * w0; window_sizes reads it
 WINDOW_RULES = {"doubling": 0, "doubling-minus-one": 1}
 SPLIT_RULES = ("equal", "proportional")
+_NO_SLOT = "every sector service period must be >= 1 slot"
 
 
 class _ModelFields(NamedTuple):
@@ -79,11 +80,13 @@ class ModelParams(_ModelFields):
                               f"got {draft.cbap_slots}")
         if draft.cbap_split_rule not in SPLIT_RULES:
             raise ConfigError(f"unknown cbap_split_rule {draft.cbap_split_rule!r}")
+        if not (draft.sector_populations or draft.cbap_split) and (
+                draft.n >= draft.q > draft.cbap_slots):
+            raise ConfigError(_NO_SLOT)  # before the stations are dealt out
         populations = _per_sector(draft, "sector_populations", "n",
                                   "every sector must hold at least one station",
                                   _round_robin, draft.q)
-        split = _per_sector(draft, "cbap_split", "cbap_slots",
-                            "every sector service period must be >= 1 slot",
+        split = _per_sector(draft, "cbap_split", "cbap_slots", _NO_SLOT,
                             _split_cbap, populations, draft.cbap_split_rule)
         return tuple.__new__(cls, draft._replace(sector_populations=populations,
                                                  cbap_split=split))

@@ -27,7 +27,6 @@ a bucket cannot change a result.  Delays are counted in slots, and no
 numpy is loaded.
 """
 
-from itertools import accumulate
 from random import Random
 from typing import NamedTuple
 
@@ -49,8 +48,9 @@ def _streams(seed, station_ids):
 
 
 class SimStats(NamedTuple):
-    """Per-sector counters of one run; ``delays`` holds each sector's tuple
-    of per-packet delays in slots, from enqueue to the end of the success."""
+    """Counters of one run.  Each field after ``num_bi`` holds one entry per
+    sector, in sector order; ``delays`` holds each sector's tuple of
+    per-packet delays in slots, from enqueue to the end of the success."""
 
     num_bi: int
     sector_cbap_slots: tuple
@@ -76,7 +76,7 @@ def run_simulation(params, timings, seed, num_bi=200):
             f"seed must be >= 0: a stream is seeded from the absolute value "
             f"of its key (seed << 20) + station id, got {seed}"
         )
-    derive_sector_models(params, timings)  # validates window vs frame fit
+    sectors = derive_sector_models(params, timings)  # refuses too short a window
     streams = _streams(seed, range(params.n))
     widths = window_sizes(params.w0, params.m, params.window_rule)
     w0 = widths[0]
@@ -84,15 +84,11 @@ def run_simulation(params, timings, seed, num_bi=200):
     nf = timings.n_frame_slots
     nc = timings.n_col_slots
 
-    successes, collisions, idles = [], [], []
-    drops_all, attempts_all, delays_all = [], [], []
-    first = 0
-    # the sector windows run back to back from the start of each interval
-    for start, length, n_k in zip(accumulate(params.cbap_split, initial=0),
-                                  params.cbap_split,
-                                  params.sector_populations):
+    rows = []  # one row of counters per sector, in SimStats field order
+    first = start = 0
+    for sector in sectors:
+        n_k, length = sector.n_k, sector.cbap_k_slots
         draws = streams[first:first + n_k]
-        first += n_k
         # every counter below W_m fits, or else every fire one window can
         # reach, up to the tail's edge + 1
         size = 1 << (max(2, min(widths[-1], length + 2)) - 1).bit_length()
@@ -189,24 +185,12 @@ def run_simulation(params, timings, seed, num_bi=200):
                     else:
                         overflow.append((clock + c, s))
 
-        n_suc = len(delays)
-        successes.append(n_suc)
-        collisions.append(n_col)
-        idles.append(clock)
-        drops_all.append(n_drop)
-        attempts_all.append(n_suc + n_collided)
-        delays_all.append(tuple(delays))
+        rows.append((len(delays), n_col, clock, n_drop,
+                     len(delays) + n_collided, tuple(delays)))
+        first += n_k
+        start += length  # the windows run back to back from the interval start
 
-    return SimStats(
-        num_bi=num_bi,
-        sector_cbap_slots=tuple(params.cbap_split),
-        successes=tuple(successes),
-        collisions=tuple(collisions),
-        idle_slots=tuple(idles),
-        dropped=tuple(drops_all),
-        attempts=tuple(attempts_all),
-        delays=tuple(delays_all),
-    )
+    return SimStats(num_bi, tuple(params.cbap_split), *zip(*rows))
 
 
 def empirical_report(stats, params):

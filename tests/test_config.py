@@ -283,14 +283,24 @@ def test_sector_count_above_stations_is_refused_before_any_list(monkeypatch):
 
 def test_sector_count_above_contention_slots_is_refused_before_the_split(
         monkeypatch):
-    def never(*args):
-        raise AssertionError("_split_cbap called")
+    def never(name):
+        def called(*args):
+            raise AssertionError(f"{name} called")
+        return called
 
-    monkeypatch.setattr(config, "_split_cbap", never)
+    # a sector count a derived split cannot give one slot each is refused
+    # before the stations are dealt out, even when every sector has one
+    monkeypatch.setattr(config, "_split_cbap", never("_split_cbap"))
+    monkeypatch.setattr(config, "_round_robin", never("_round_robin"))
     for rule in config.SPLIT_RULES:
-        with pytest.raises(ConfigError, match="^every sector service period "
-                                              "must be >= 1 slot$"):
-            make_params(n=10, q=5, cbap_slots=4, cbap_split_rule=rule)
+        for sizes in (dict(n=10, q=5, cbap_slots=4), dict(n=10 ** 8, q=10 ** 8)):
+            with pytest.raises(ConfigError, match="^every sector service "
+                                                  "period must be >= 1 slot$"):
+                make_params(**sizes, cbap_split_rule=rule)
+    # a given population tuple is still checked first
+    with pytest.raises(ConfigError, match="^sector_populations has 2 entries, "
+                                          "expected q=5$"):
+        make_params(n=10, q=5, cbap_slots=4, sector_populations=(4, 6))
 
 
 CONSTRUCTION_PATHS = {

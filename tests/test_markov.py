@@ -1,6 +1,7 @@
 """Closed-form normalization, fixed point, and idle-slot coupling."""
 
 import hashlib
+import itertools
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -267,6 +268,30 @@ def test_coupling_attempt_after_idle_collides_more_than_chain_step_rate():
 @pytest.mark.parametrize("n_k, w0, iterations", [(10, 7, 33), (50, 31, 32)])
 def test_coupling_step_counts_are_pinned(n_k, w0, iterations):
     assert solve_idle_slot_coupling(n_k, w0, 5).iterations == iterations
+
+
+def test_coupling_residual_changes_sign_once():
+    # the bisection's bracket [TAU_EPS, 1 - TAU_EPS] holds one root: the
+    # residual starts positive, ends negative and crosses zero once on a
+    # log-spaced scan, wherever the coupling has a steady state
+    lo, hi = 1e-12, 1.0 - 5e-4
+    alphas = [lo * (hi / lo) ** (i / 119) for i in range(120)]
+    configurations = 0
+    for rule, w0, m, n_k in itertools.product(
+            ("doubling", "doubling-minus-one"), (2, 3, 7, 31), (1, 2, 5),
+            (2, 3, 10, 50, 200)):
+        widths = window_sizes(w0, m, rule)
+        if widths[0] == 1:
+            continue
+        cycles = [_coupled_cycle(alpha, n_k, widths)[2] for alpha in alphas]
+        residuals = [cycle.idle_attempts / cycle.decrements - alpha
+                     for cycle, alpha in zip(cycles, alphas)]
+        signs = [r > 0.0 for r in residuals]
+        where = (n_k, w0, m, rule)
+        assert residuals[0] > 0.0 > residuals[-1], where
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1, where
+        configurations += 1
+    assert configurations == 105
 
 
 def test_coupling_raises_when_the_budget_runs_out(monkeypatch):

@@ -141,6 +141,11 @@ def reference_sim(params, timings, seed, num_bi):
     dict(n=8, q=4, w0=4, m=2, bi_slots=200, cbap_slots=72),
     # eight stations on stage windows of 2 and 4 slots: drops are common
     dict(n=8, q=1, w0=2, m=1, bi_slots=500, cbap_slots=400),
+    # uneven sectors of 1, 2 and 5 stations on windows of 60, 120 and 300
+    # slots: each population runs in its own window
+    dict(n=8, q=3, sector_populations=(1, 2, 5),
+         cbap_split_rule="proportional", w0=4, m=2, bi_slots=700,
+         cbap_slots=480),
 ])
 def test_jump_loop_matches_one_slot_reference(overrides):
     params = make_params(**overrides)
