@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "bench" / "run.py"
 SEED = 0
 
 
@@ -42,13 +41,14 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def run_once(workload, seconds, trace):
-    """The last line's JSON of one run, with the digest and round count of
-    the line before it."""
+def run_once(workload, seconds, trace, root=ROOT, seed=SEED):
+    """The last line's JSON of one run of the checkout at ``root``, with the
+    digest and round count of the line before it."""
     done = subprocess.run(
-        [sys.executable, str(RUN), "--workload", workload, "--seed", str(SEED),
+        [sys.executable, str(Path(root) / "bench" / "run.py"),
+         "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True)
+        cwd=root, capture_output=True, text=True, check=True)
     digest_line, last = done.stdout.splitlines()[-2:]
     fields = dict(part.split("=", 1) for part in digest_line.split()[1:])
     return {"digest": fields["sha256"], "rounds": int(fields["rounds"]),

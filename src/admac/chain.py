@@ -57,7 +57,8 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     base_i .. base_i + 2 w_i - 2: its head (i, 0, 0), its counters
     (i, j, 0) for j = 1 .. w_i - 1, then their twins (i, j, -1) in the same
     order; ``heads[i]`` is base_i.  The CSR arrays are written directly,
-    each row's columns in ascending order.
+    each row's columns in ascending order, and every row stores its
+    diagonal, a head above stage 0 as an explicit 0.0.
     """
     import numpy as np
     from scipy.sparse import csr_array
@@ -73,7 +74,10 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
         p_b = p
     p_h, p_h_prime, p_f = sector.p_h, sector.p_h_prime, sector.p_f
     first = widths[0]
-    head_lengths = [first + w_next for w_next in widths[1:]] + [first]
+    # a head row holds the stage-0 counters, above stage 0 its own diagonal
+    # (an explicit 0.0), and the next stage's head and counters
+    head_lengths = [first + (i > 0) + w_next
+                    for i, w_next in enumerate(widths[1:] + (0,))]
     nnz = sum(head_lengths) + 5 * sum(w - 1 for w in widths)
     lengths = np.empty(n_states, dtype=np.int32)
     indices = np.empty(nnz, dtype=np.int32)
@@ -89,17 +93,21 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
         # head (i, 0, 0): a success draws a stage-0 counter; a collision
         # draws a stage-(i + 1) counter, or at stage m drops and restarts
         # at (0, 0, 0)
-        indices[at:at + first] = np.arange(first)
-        data[at:at + first] = (1.0 - p) / first
+        head_at, at = at, at + first
+        indices[head_at:at] = np.arange(first)
+        data[head_at:at] = (1.0 - p) / first
+        if i:
+            indices[at] = base
+            data[at] = 0.0
+            at += 1
         if i < m:
             w_next = widths[i + 1]
             nxt = base + w + k
-            indices[at + first:at + first + w_next] = np.arange(nxt,
-                                                               nxt + w_next)
-            data[at + first:at + first + w_next] = p / w_next
+            indices[at:at + w_next] = np.arange(nxt, nxt + w_next)
+            data[at:at + w_next] = p / w_next
+            at += w_next
         else:
-            data[at] += p
-        at += head_lengths[i]
+            data[head_at] += p
         # counter (i, j, 0): decrement, hold while busy, or suspend at the
         # boundary (p_h' at j = 1, p_h above); twin (i, j, -1): return or
         # stay suspended
@@ -133,8 +141,12 @@ def stationary_distribution(chain, method="auto"):
     """Solve pi P = pi, sum(pi) = 1 for the explicit chain.
 
     One sparse LU solve of (P^T - I) pi = 0 with the balance equation of
-    state 0 replaced by pi_0 = 1, then normalized.  Pinning one state keeps
-    the LU as sparse as P; a row of ones would fill it in.  ``method`` is
+    state 0 replaced by pi_0 = 1, then normalized.  P must store its
+    diagonal in every row (``build_chain`` does; a zero counts); then the
+    CSC arrays of P^T - I are P's own CSR arrays, its diagonal entries less
+    one.  The system is solved in reverse state order, with no column
+    ordering: in ``build_chain``'s layout, eliminating the last state first
+    makes no fill, so the LU holds no entry outside P's pattern.  ``method`` is
     "auto" or "direct", both meaning this solve.  ``chain.matrix`` may be
     any scipy sparse format.  Returns the mass vector in row order.
     """
@@ -145,28 +157,29 @@ def stationary_distribution(chain, method="auto"):
     if method not in ("auto", "direct"):
         raise OracleError(f"unknown stationary method {method!r}")
     pmat = chain.matrix.tocsr()
+    pmat.sum_duplicates()
     n = chain.n_states
     data, indices, indptr = pmat.data, pmat.indices, pmat.indptr
     rows = np.repeat(np.arange(n), np.diff(indptr))
+    diagonal = indices == rows
+    if np.count_nonzero(diagonal) != n:
+        raise OracleError("transition matrix stores no diagonal in some row")
 
-    # CSC column c of P^T - I: row c of P, then a -1 on the diagonal
-    # (duplicates are summed by the solver).  Zeroing row 0 and setting its
-    # diagonal to +1 turns state 0's balance equation into pi_0 = 1.
-    a_indptr = indptr + np.arange(n + 1, dtype=indptr.dtype)
-    at = np.arange(len(data)) + rows
-    diagonal = a_indptr[1:] - 1
-    a_indices = np.empty(a_indptr[-1], dtype=indices.dtype)
-    a_indices[at] = indices
-    a_indices[diagonal] = np.arange(n)
-    a_data = np.empty(a_indptr[-1])
-    a_data[at] = np.where(indices == 0, 0.0, data)
-    a_data[diagonal] = -1.0
-    a_data[diagonal[0]] = 1.0
+    # Reversed, state s is n - 1 - s: the CSC arrays of P^T - I run
+    # backwards.  Zeroing state 0's row and setting its diagonal (P's first
+    # entry, so the last here) to +1 turns its balance equation into pi_0 = 1.
+    last = n - 1
+    a_indices = last - indices[::-1]
+    a_data = data[::-1] - diagonal[::-1]
+    a_data[a_indices == last] = 0.0
+    a_data[-1] = 1.0
+    reverse = csc_array((a_data, a_indices, len(data) - indptr[::-1]),
+                        shape=(n, n))
     b = np.zeros(n)
-    b[0] = 1.0
+    b[last] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MatrixRankWarning)
-        x = spsolve(csc_array((a_data, a_indices, a_indptr), shape=(n, n)), b)
+        x = spsolve(reverse, b, permc_spec="NATURAL")[::-1]
     total = x.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise OracleError("stationary solve failed: singular balance system")

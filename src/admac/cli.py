@@ -38,6 +38,8 @@ BASE_COLUMNS = (
     "u_sectors", "u", "mean_delay_s", "drop_prob", "num_bi",
 )
 SWEEP_COLUMNS = BASE_COLUMNS + ("mode", "error")
+# the most values a seed or sweep list may hold (README "Command line")
+MAX_LIST_VALUES = 10 ** 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +70,9 @@ def config_hash(params):
 
 
 def _parse_list(text, kind, what):
-    """``kind`` of each ``what`` in a comma list; int lists take lo-hi[:step]."""
+    """``kind`` of each ``what`` in a comma list; int lists take lo-hi[:step].
+    A list of more than MAX_LIST_VALUES values, repeats included, is refused
+    before a range is spelled out."""
     values = []
     for part in text.split(","):
         part = part.strip()
@@ -83,12 +87,19 @@ def _parse_list(text, kind, what):
                 raise ConfigError(f"bad {what} range {part!r}")
             if hi < lo or step < 1:
                 raise ConfigError(f"bad {what} range {part!r}")
-            values.extend(range(lo, hi + 1, step))
+            # counted, not len(range): a length past 2**63 overflows len
+            count = (hi - lo) // step + 1
+            found = range(lo, hi + 1, step)
         else:
             try:
-                values.append(kind(part))
+                found = [kind(part)]
             except (ValueError, argparse.ArgumentTypeError):
                 raise ConfigError(f"bad {what} {part!r}")
+            count = 1
+        if len(values) + count > MAX_LIST_VALUES:
+            raise ConfigError(
+                f"{what} list holds more than {MAX_LIST_VALUES} values")
+        values.extend(found)
     if not values:
         raise ConfigError(f"no {what}s in {text!r}")
     return values

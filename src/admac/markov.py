@@ -67,15 +67,10 @@ def eta_terms(p_b, p_f, p_h, p_h_prime):
     return eta, eta_prime
 
 
-def b000_closed_form(p, w0, m, eta, eta_prime, window_rule="doubling"):
-    """Stationary probability of the stage-0 transmit state.
-
-    Normalizes the chain by summing, per stage i, the transmit state mass
-    p**i and the counter-column masses weighted by eta / eta_prime.  The
-    sum is evaluated stage by stage so it is exact at p = 1 and at the
-    window-doubling singularity p = 1/2.
-    """
-    widths = window_sizes(w0, m, window_rule)
+def _b000(p, widths, eta, eta_prime):
+    """b000 over the stage windows ``widths``, and the transmit-state sum
+    1 + p + .. + p**m that ``tau_of`` forms, in the same order."""
+    m = len(widths) - 1
     head = 0.0
     columns = 0.0
     for i, w in enumerate(widths):
@@ -86,9 +81,23 @@ def b000_closed_form(p, w0, m, eta, eta_prime, window_rule="doubling"):
     bracket = head + columns
     if bracket < 1.0:
         raise InternalConsistencyError(
-            f"normalization bracket {bracket} < 1; inputs p={p}, w0={w0}, m={m}"
-        )
-    return 1.0 / bracket
+            f"normalization bracket {bracket} < 1; inputs p={p}")
+    return 1.0 / bracket, head
+
+
+def b000_closed_form(p, w0, m, eta, eta_prime, window_rule="doubling"):
+    """Stationary probability of the stage-0 transmit state.
+
+    Normalizes the chain by summing, per stage i, the transmit state mass
+    p**i and the counter-column masses weighted by eta / eta_prime.  The
+    sum is evaluated stage by stage so it is exact at p = 1 and at the
+    window-doubling singularity p = 1/2.
+    """
+    widths = window_sizes(w0, m, window_rule)
+    try:
+        return _b000(p, widths, eta, eta_prime)[0]
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"{exc}, w0={w0}, m={m}") from None
 
 
 def tau_of(p, b000, m):
@@ -101,12 +110,12 @@ def collision_probability(tau, n_k):
     return 1.0 - (1.0 - tau) ** (n_k - 1)
 
 
-def _tau_residual(tau, sector, w0, m, window_rule):
+def _tau_residual(tau, sector, widths):
     """G(tau) = tau_of(p(tau)) - tau, and the collision probability p."""
     p = collision_probability(tau, sector.n_k)
     eta, eta_prime = eta_terms(p, sector.p_f, sector.p_h, sector.p_h_prime)
-    b000 = b000_closed_form(p, w0, m, eta, eta_prime, window_rule)
-    return tau_of(p, b000, m) - tau, p
+    b000, head = _b000(p, widths, eta, eta_prime)
+    return b000 * head - tau, p
 
 
 def _bisect(residual, lo, hi, what):
@@ -137,8 +146,17 @@ def solve_fixed_point(sector, w0, m, window_rule="doubling"):
     """
     if sector.n_k < 1:
         raise ConfigError(f"n_k must be >= 1, got {sector.n_k}")
+    widths = window_sizes(w0, m, window_rule)
+    try:
+        return _bisect_tau(sector, widths)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"{exc}, w0={w0}, m={m}") from None
+
+
+def _bisect_tau(sector, widths):
+    """``solve_fixed_point`` over the stage windows ``widths``."""
     if sector.n_k == 1:
-        g, p = _tau_residual(0.0, sector, w0, m, window_rule)
+        g, p = _tau_residual(0.0, sector, widths)
         return FixedPointSolution(tau=g, p=p, iterations=0, residual=0.0)
 
     lo = TAU_EPS
@@ -151,8 +169,8 @@ def solve_fixed_point(sector, w0, m, window_rule="doubling"):
         )
     hi = min(hi, 1.0 - (1.0 - pb_cap) ** (1.0 / (sector.n_k - 1)))
 
-    g_lo, _ = _tau_residual(lo, sector, w0, m, window_rule)
-    g_hi, _ = _tau_residual(hi, sector, w0, m, window_rule)
+    g_lo, _ = _tau_residual(lo, sector, widths)
+    g_hi, _ = _tau_residual(hi, sector, widths)
     if g_lo * g_hi > 0.0:
         raise InfeasibleModelError(
             f"no attempt-rate fixed point in ({lo}, {hi:.6g}): "
@@ -160,8 +178,7 @@ def solve_fixed_point(sector, w0, m, window_rule="doubling"):
         )
 
     tau, iterations, (g, p) = _bisect(
-        lambda mid: _tau_residual(mid, sector, w0, m, window_rule),
-        lo, hi, "fixed point")
+        lambda mid: _tau_residual(mid, sector, widths), lo, hi, "fixed point")
     return FixedPointSolution(tau=tau, p=p, iterations=iterations,
                               residual=abs(g))
 

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
+from scipy.sparse.linalg import splu
 
 from admac import (ConfigError, ExplicitChain, OracleError, OracleSizeError,
                    build_chain, derive_sector_models, derive_timings,
@@ -64,6 +65,58 @@ def test_rows_follow_the_documented_layout(rule):
             assert list(np.flatnonzero(dense[r])) == [r - 1, r, r + w - 1]
             twin = r + w - 1
             assert list(np.flatnonzero(dense[twin])) == [r, twin]
+
+
+@pytest.mark.parametrize("rule", ["doubling", "doubling-minus-one"])
+def test_every_row_stores_its_diagonal(rule):
+    # the solve reads P^T - I off P's own arrays, so the diagonal of a head
+    # above stage 0, which has no self-loop, is stored as 0.0
+    chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 3,
+                        window_rule=rule)
+    matrix = chain.matrix
+    rows = np.repeat(np.arange(chain.n_states), np.diff(matrix.indptr))
+    assert np.array_equal(rows[matrix.indices == rows],
+                          np.arange(chain.n_states))
+    assert all(matrix[h, h] == 0.0 for h in chain.heads[1:])
+
+
+def reversed_pinned_system(chain):
+    """P^T - I with state 0's balance equation replaced by pi_0 = 1, its
+    states numbered from the last, built from P's entries alone."""
+    n = chain.n_states
+    entries = chain.matrix.tocoo()
+    keep = entries.col != 0
+    rows = np.concatenate([entries.col[keep], np.arange(n)])
+    cols = np.concatenate([entries.row[keep], np.arange(n)])
+    vals = np.concatenate([entries.data[keep], np.full(n, -1.0)])
+    vals[len(vals) - n] = 1.0
+    system = csc_array((vals, (n - 1 - rows, n - 1 - cols)), shape=(n, n))
+    system.eliminate_zeros()
+    return system
+
+
+@pytest.mark.parametrize("rule", ["doubling", "doubling-minus-one"])
+def test_reversed_pinned_system_factors_without_fill(rule):
+    # eliminating the last state first keeps the LU inside the pattern of
+    # P^T - I; the solve's speed rests on it, so a layout that breaks it
+    # fails here: nnz(L) + nnz(U) - n counts the unit diagonal of L once
+    cases = [(w0, m, 0.3) for w0 in (2, 3, 4, 7, 8, 15, 31)
+             for m in (0, 1, 2, 3, 5, 7)] + [(7, 5, 0.0)]
+    for w0, m, p in cases:
+        chain = build_chain(p, raw_sector(0.01, 0.05, 0.6), w0, m,
+                            window_rule=rule)
+        system = reversed_pinned_system(chain)
+        lu = splu(system, permc_spec="NATURAL")
+        assert lu.L.nnz + lu.U.nnz - chain.n_states == system.nnz, (w0, m, p)
+
+
+def test_chain_without_a_stored_diagonal_is_refused():
+    # a two-state flip chain: stationary (1/2, 1/2), but no row stores its
+    # diagonal, which the solve needs
+    chain = ExplicitChain(matrix=csr_array([[0.0, 1.0], [1.0, 0.0]]),
+                          n_states=2, heads=(0,))
+    with pytest.raises(OracleError, match="no diagonal"):
+        stationary_distribution(chain)
 
 
 def test_smallest_chain_hand_solution():
@@ -197,7 +250,7 @@ def test_validation_report_bytes_are_pinned_at_operating_points():
     text = "".join(",".join(repr(row[c]) for c in columns) + "\n"
                    for row in validation_report(points))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "af229228b40b5ba66304e545e97db7f67550a4a9eeb10a1edd1bffadc15adcbe")
+        "fafc389ade9a26cb53f54426f3132d6fc22211ebf3508c42f5d1fc9238f2248d")
 
 
 def test_no_return_path_leaves_one_step_suspension_mass():

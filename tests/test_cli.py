@@ -517,6 +517,30 @@ def test_negative_seeds_are_bad_ranges(text, capsys):
     assert capsys.readouterr().err == f"config error: bad seed range {text!r}\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["simulate", "--seeds", "0-100000000000"], "seed"),
+    (["sweep", "--param", "n", "--values", "1-100000000000"], "sweep value"),
+    (["sweep", "--param", "n", "--values", f"1-{10 ** 30}:3"], "sweep value"),
+])
+def test_overlong_lists_are_refused_before_they_are_built(argv, what, capsys):
+    # a range is counted before it is spelled out, so a list past the
+    # stated cap costs no memory in proportion to its length
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {what} list holds more than 1000000 values\n")
+
+
+def test_list_cap_counts_every_part_and_repeat(monkeypatch):
+    from admac import ConfigError
+    monkeypatch.setattr(cli, "MAX_LIST_VALUES", 10)
+    assert parse_seeds("0-9") == tuple(range(10))
+    assert parse_seeds("0-4,5,6-9") == tuple(range(10))
+    assert parse_seeds("0-18:2") == tuple(range(0, 20, 2))
+    for text in ("0-10", "0-5,5-9", "0-9,3", "0-20:2", "0-18:2,1"):
+        with pytest.raises(ConfigError, match="more than 10 values"):
+            parse_seeds(text)
+
+
 # --- sweep ---
 
 def test_sweep_rows_sorted_by_value_mode_seed(tmp_path):
@@ -714,7 +738,7 @@ def test_validate_stdout_bytes_are_pinned(tmp_path, capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == (
-        "7fe9d77bf4ea2d56c2fa63b20f99452ee8f936ea075a036ca692732632535e6e")
+        "5d61d639bb359a7938d4e5423de8d9d94bf31eaa32ba18c5b8e8352a3dff6c2a")
     assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 0
     assert (tmp_path / "v.csv").read_bytes() == out
 

@@ -198,13 +198,21 @@ def assert_matches_reference(params, timings, seed, num_bi):
 def small_params(draw):
     """Valid parameter sets small enough for the one-slot reference loop."""
     ints = strategies.integers
-    q = draw(ints(1, 3))
-    cbap = q * draw(ints(15, 60))  # N_F = 14 slots at the default timing
+    populations = draw(strategies.lists(ints(1, 3), min_size=1, max_size=3))
+    n, q = sum(populations), len(populations)
+    least = draw(ints(15, 60))  # N_F = 14 slots at the default timing
+    split_rule = draw(strategies.sampled_from(("equal", "proportional")))
+    # the smallest sector gets ``least`` slots or more; proportional windows
+    # are uneven where the populations are
+    cbap = q * least if split_rule == "equal" else -(-least * n
+                                                     // min(populations))
     return make_params(
-        n=draw(ints(q, 6)), q=q, w0=draw(ints(2, 8)), m=draw(ints(0, 3)),
+        n=n, q=q, sector_populations=tuple(populations),
+        w0=draw(ints(2, 8)), m=draw(ints(0, 3)),
         window_rule=draw(strategies.sampled_from(
             ("doubling", "doubling-minus-one"))),
         cbap_slots=cbap, bi_slots=cbap + draw(ints(0, 100)),
+        cbap_split_rule=split_rule,
     )
 
 
