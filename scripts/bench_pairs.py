@@ -42,7 +42,8 @@ def claim(parent, change, better):
     parent's interquartile distance.
     """
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change, strict=True))
+    wins = sum(sign * (p - c) > 0.0
+               for p, c in zip(parent, change, strict=True))
     q1, median, q3 = quartiles(parent)
     gain = sign * (median - statistics.median(change))
     return wins, 10 * wins >= 9 * len(parent) and gain > q3 - q1
