@@ -202,10 +202,11 @@ def small_params(draw):
     n, q = sum(populations), len(populations)
     least = draw(ints(15, 60))  # N_F = 14 slots at the default timing
     split_rule = draw(strategies.sampled_from(("equal", "proportional")))
-    # the smallest sector gets ``least`` slots or more; proportional windows
-    # are uneven where the populations are
-    cbap = q * least if split_rule == "equal" else -(-least * n
-                                                     // min(populations))
+    # the smallest sector gets ``least`` slots or more
+    if split_rule == "equal":
+        cbap = q * least
+    else:  # uneven windows wherever the populations are uneven
+        cbap = -(-least * n // min(populations))
     return make_params(
         n=n, q=q, sector_populations=tuple(populations),
         w0=draw(ints(2, 8)), m=draw(ints(0, 3)),
