@@ -1,14 +1,14 @@
 """Brute-force validator for the closed-form chain solution.
 
 Builds the full transition matrix over every (stage, counter, flag) state
-from the same transition rules the closed form summarizes, solves for the
-stationary distribution with one sparse LU, and reports closed-form-vs-
-oracle errors over a parameter grid.  Desk-scale only: never used in
-sweeps.  numpy and scipy are imported inside the functions that need
-them, so that importing the package does not pay for them.
+from the same transition rules the closed form summarizes, solves for its
+stationary distribution by censoring it on its stage heads, with numpy
+alone, and reports closed-form-vs-oracle errors over a parameter grid.
+Desk-scale only: never used in sweeps.  numpy is imported inside the
+functions that need it, so that importing the package does not pay for
+it.
 """
 
-import warnings
 from typing import NamedTuple
 
 from .config import SectorModel, window_sizes
@@ -32,8 +32,19 @@ DEFAULT_GRID = tuple(sorted(set(
 )))
 
 
+class CsrMatrix(NamedTuple):
+    """Arrays of a square sparse matrix in compressed sparse row form: row
+    r's columns are ``indices[indptr[r]:indptr[r + 1]]``, its values the
+    same slice of ``data``."""
+
+    data: object
+    indices: object
+    indptr: object
+
+
 class ExplicitChain(NamedTuple):
-    """Sparse (CSR) one-step transition matrix and each stage's head row."""
+    """One-step transition matrix, a ``CsrMatrix``, and each stage's head
+    row."""
 
     matrix: object
     n_states: int
@@ -61,7 +72,6 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     diagonal, a head above stage 0 as an explicit 0.0.
     """
     import numpy as np
-    from scipy.sparse import csr_array
 
     widths = window_sizes(w0, m, window_rule)
     n_states = sum(2 * w - 1 for w in widths)
@@ -133,53 +143,82 @@ def build_chain(p, sector, w0, m, p_b=None, window_rule="doubling"):
     sums = np.add.reduceat(data, indptr[:-1])
     if np.max(np.abs(sums - 1.0)) > 1e-12:
         raise OracleError("transition matrix rows do not sum to 1")
-    matrix = csr_array((data, indices, indptr), shape=(n_states, n_states))
-    return ExplicitChain(matrix=matrix, n_states=n_states, heads=tuple(heads))
+    return ExplicitChain(matrix=CsrMatrix(data, indices, indptr),
+                         n_states=n_states, heads=tuple(heads))
 
 
 def stationary_distribution(chain, method="auto"):
     """Solve pi P = pi, sum(pi) = 1 for the explicit chain.
 
-    One sparse LU solve of (P^T - I) pi = 0 with the balance equation of
-    state 0 replaced by pi_0 = 1, then normalized.  P must store its
-    diagonal in every row (``build_chain`` does; a zero counts); then the
-    CSC arrays of P^T - I are P's own CSR arrays, its diagonal entries less
-    one.  The system is solved in reverse state order, with no column
-    ordering: in ``build_chain``'s layout, eliminating the last state first
-    makes no fill, so the LU holds no entry outside P's pattern.  ``method`` is
-    "auto" or "direct", both meaning this solve.  ``chain.matrix`` may be
-    any scipy sparse format.  Returns the mass vector in row order.
+    The chain must have ``build_chain``'s layout, read off its index arrays:
+    stage i spans the 2 k_i + 1 rows from ``heads[i]``, a counter row r holds
+    the columns [r - 1, r, r + k_i] and a twin row [r - k_i, r], a head row
+    reaches only heads and counters, and every row stores its diagonal (a
+    zero counts).  Any other chain is refused with ``OracleError``.  Then
+    every path into a stage's counters and twins leaves through its head, so
+    the chain censored on the heads moves from head h to head i with the
+    sum of row h's entries over stage i's rows.  That small chain is solved
+    by the state reduction of Grassmann, Taksar and Heyman, in Python
+    floats, with the mass of ``heads[0]`` set to 1.  A counter's mass times
+    its decrement entry is the inflow from the heads into it and the
+    counters above it; a twin's mass times its return entry is its
+    counter's mass times the suspend entry; a decrement or return entry
+    that is not positive leaves the balance system singular and is
+    refused.  No mass is formed by a subtraction.  The masses are then
+    normalized, and the balance residual is checked against the full
+    explicit matrix.  ``method`` is "auto" or "direct", both meaning this
+    solve.  Returns the mass vector in row order.
     """
     import numpy as np
-    from scipy.sparse import csc_array
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     if method not in ("auto", "direct"):
         raise OracleError(f"unknown stationary method {method!r}")
-    pmat = chain.matrix.tocsr()
-    pmat.sum_duplicates()
     n = chain.n_states
-    data, indices, indptr = pmat.data, pmat.indices, pmat.indptr
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    diagonal = indices == rows
-    if np.count_nonzero(diagonal) != n:
+    data, indices, indptr = (chain.matrix.data, chain.matrix.indices,
+                             chain.matrix.indptr)
+    lengths = indptr[1:] - indptr[:-1]
+    if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
+            or len(data) != len(indices) or np.count_nonzero(lengths < 0)):
+        raise OracleError(f"matrix arrays do not hold {n} CSR rows")
+    rows = np.repeat(np.arange(n), lengths)
+    offsets = indices - rows
+    if np.count_nonzero(offsets == 0) != n:
         raise OracleError("transition matrix stores no diagonal in some row")
+    stages, bounds, pivots = _stage_layout(chain.heads, n, lengths, offsets,
+                                           indptr)
 
-    # Reversed, state s is n - 1 - s: the CSC arrays of P^T - I run
-    # backwards.  Zeroing state 0's row and setting its diagonal (P's first
-    # entry, so the last here) to +1 turns its balance equation into pi_0 = 1.
-    last = n - 1
-    a_indices = last - indices[::-1]
-    a_data = data[::-1] - diagonal[::-1]
-    a_data[a_indices == last] = 0.0
-    a_data[-1] = 1.0
-    reverse = csc_array((a_data, a_indices, len(data) - indptr[::-1]),
-                        shape=(n, n))
-    b = np.zeros(n)
-    b[last] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MatrixRankWarning)
-        x = spsolve(reverse, b, permc_spec="NATURAL")[::-1]
+    # the head rows' entries, and the stage each reaches: a column with
+    # 2i + 1 bounds at or below it is stage i's head or one of its
+    # counters; an even count puts it among the twins, before row 0 or
+    # past the last state
+    heads = np.array(chain.heads)
+    is_head = np.zeros(n, dtype=bool)
+    is_head[heads] = True
+    from_head = is_head[rows]
+    head_cols, head_vals = indices[from_head], data[from_head]
+    reach = np.searchsorted(bounds, head_cols, side="right")
+    if np.count_nonzero(reach & 1) != len(reach):
+        raise OracleError("a head row reaches a suspended twin or past the "
+                          "last state")
+    size = len(stages)
+    from_stage = np.repeat(np.arange(size), lengths[heads])
+    censored = np.bincount(from_stage * size + (reach >> 1),
+                           weights=head_vals, minlength=size * size)
+    head_mass = _gth(censored.reshape(size, size).tolist())
+
+    if np.count_nonzero(data[pivots] > 0.0) != np.count_nonzero(pivots):
+        raise OracleError("stationary solve failed: singular balance system")
+    x = np.zeros(n)
+    x[heads] = head_mass
+    inflow = np.bincount(head_cols,
+                         weights=head_vals * np.array(head_mass)[from_stage],
+                         minlength=n)
+    for base, k, start in stages:
+        twins = start + 3 * k
+        mass = inflow[base + k:base:-1].cumsum()[::-1] / data[start:twins:3]
+        x[base + 1:base + k + 1] = mass
+        x[base + k + 1:base + 2 * k + 1] = (
+            mass * data[start + 2:twins:3] / data[twins:twins + 2 * k:2])
     total = x.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise OracleError("stationary solve failed: singular balance system")
@@ -192,6 +231,70 @@ def stationary_distribution(chain, method="auto"):
     if np.min(pi) < -STATIONARY_TOL:
         raise OracleError(f"stationary vector has negative mass {np.min(pi)}")
     return pi
+
+
+def _stage_layout(heads, n, lengths, offsets, indptr):
+    """Check that the CSR arrays hold ``build_chain``'s layout; ``offsets``
+    holds each entry's column less its row.  Returns each stage's head row,
+    counter count k and first counter entry; the bounds of the head and
+    counter rows of each stage, for ``np.searchsorted``; and the mask of
+    the decrement and return entries."""
+    import numpy as np
+
+    if not heads or heads[0] != 0:
+        raise OracleError("the first stage head is not row 0")
+    stages, bounds = [], []
+    expected = lengths.copy()
+    for base, end in zip(heads, (*heads[1:], n)):
+        k, odd = divmod(end - base - 1, 2)
+        if k < 0 or odd:
+            raise OracleError(
+                f"stage at row {base} spans {end - base} rows, not 2k + 1")
+        expected[base + 1:base + k + 1] = 3
+        expected[base + k + 1:end] = 2
+        stages.append((base, k, int(indptr[base + 1])))
+        bounds += (base, base + k + 1)
+    if np.count_nonzero(lengths != expected):
+        raise OracleError("a counter row holds other than 3 entries, "
+                          "or a twin row other than 2")
+    template = offsets.copy()
+    pivots = np.zeros(len(offsets), dtype=bool)
+    for base, k, start in stages:
+        twins = start + 3 * k
+        template[start:twins:3] = -1
+        template[start + 1:twins:3] = 0
+        template[start + 2:twins:3] = k
+        template[twins:twins + 2 * k:2] = -k
+        template[twins + 1:twins + 2 * k:2] = 0
+        pivots[start:twins:3] = True
+        pivots[twins:twins + 2 * k:2] = True
+    if np.count_nonzero(offsets != template):
+        raise OracleError("a counter row r is not [r - 1, r, r + k], "
+                          "or a twin row r not [r - k, r]")
+    # two bounds at n give a column past the last state an even count
+    return stages, np.array(bounds + [n, n]), pivots
+
+
+def _gth(matrix):
+    """Stationary vector of the small stochastic ``matrix`` (a list of rows
+    of floats), scaled to a first entry of 1, by the state reduction of
+    Grassmann, Taksar and Heyman: the last state is censored out first, and
+    its outflow is summed, never taken as 1 less the self-loop."""
+    for last in range(len(matrix) - 1, 0, -1):
+        row = matrix[last]
+        out = left_sum(row[:last])
+        if not out > 0.0:
+            raise OracleError(
+                "stationary solve failed: singular balance system")
+        for above in matrix[:last]:
+            share = above[last] / out
+            above[last] = share
+            for j in range(last):
+                above[j] += share * row[j]
+    mass = [1.0]
+    for j in range(1, len(matrix)):
+        mass.append(left_sum(m * matrix[i][j] for i, m in enumerate(mass)))
+    return mass
 
 
 def validation_report(grid=DEFAULT_GRID):

@@ -50,6 +50,12 @@ def eta_terms(p_b, p_f, p_h, p_h_prime):
     each boundary hit also charges the geometric suspension dwell
     1 / (1 - p_f).  Requires p_b + p_h < 1 and p_b + p_h_prime < 1.
     """
+    _check_holding(p_b, p_f, p_h, p_h_prime)
+    return _holding_factors(p_b, p_f, p_h, p_h_prime)
+
+
+def _check_holding(p_b, p_f, p_h, p_h_prime):
+    """Refuse the inputs for which ``eta_terms`` has no holding factors."""
     if not 0.0 <= p_b < 1.0:
         raise InfeasibleModelError(f"p_b must be in [0, 1), got {p_b}")
     if not 0.0 <= p_f < 1.0:
@@ -62,6 +68,10 @@ def eta_terms(p_b, p_f, p_h, p_h_prime):
             f"holding probabilities exceed 1: p_b={p_b}, p_h={p_h}, "
             f"p_h_prime={p_h_prime}"
         )
+
+
+def _holding_factors(p_b, p_f, p_h, p_h_prime):
+    """``eta_terms`` on inputs ``_check_holding`` has passed."""
     eta = (1.0 + p_h / (1.0 - p_f)) / (1.0 - p_b - p_h)
     eta_prime = (1.0 + p_h_prime / (1.0 - p_f)) / (1.0 - p_b - p_h_prime)
     return eta, eta_prime
@@ -107,15 +117,31 @@ def tau_of(p, b000, m):
 
 def collision_probability(tau, n_k):
     """Chance at least one of the other n_k - 1 stations attempts."""
+    return _collision(tau, n_k)
+
+
+def _collision(tau, n_k):
     return 1.0 - (1.0 - tau) ** (n_k - 1)
 
 
 def _tau_residual(tau, sector, widths):
-    """G(tau) = tau_of(p(tau)) - tau, and the collision probability p."""
-    p = collision_probability(tau, sector.n_k)
-    eta, eta_prime = eta_terms(p, sector.p_f, sector.p_h, sector.p_h_prime)
+    """G(tau) = tau_of(p(tau)) - tau, and the collision probability p.
+
+    Calls no public function, so that a tracer wrapping those spans no
+    bisection step; the holding inputs are checked at the bracket ends
+    (``_checked_residual``), and p rises with tau in between."""
+    p = _collision(tau, sector.n_k)
+    eta, eta_prime = _holding_factors(p, sector.p_f, sector.p_h,
+                                      sector.p_h_prime)
     b000, head = _b000(p, widths, eta, eta_prime)
     return b000 * head - tau, p
+
+
+def _checked_residual(tau, sector, widths):
+    """``_tau_residual`` after the checks of ``eta_terms`` at tau."""
+    _check_holding(_collision(tau, sector.n_k), sector.p_f, sector.p_h,
+                   sector.p_h_prime)
+    return _tau_residual(tau, sector, widths)
 
 
 def _bisect(residual, lo, hi, what):
@@ -156,7 +182,7 @@ def solve_fixed_point(sector, w0, m, window_rule="doubling"):
 def _bisect_tau(sector, widths):
     """``solve_fixed_point`` over the stage windows ``widths``."""
     if sector.n_k == 1:
-        g, p = _tau_residual(0.0, sector, widths)
+        g, p = _checked_residual(0.0, sector, widths)
         return FixedPointSolution(tau=g, p=p, iterations=0, residual=0.0)
 
     lo = TAU_EPS
@@ -169,8 +195,8 @@ def _bisect_tau(sector, widths):
         )
     hi = min(hi, 1.0 - (1.0 - pb_cap) ** (1.0 / (sector.n_k - 1)))
 
-    g_lo, _ = _tau_residual(lo, sector, widths)
-    g_hi, _ = _tau_residual(hi, sector, widths)
+    g_lo, _ = _checked_residual(lo, sector, widths)
+    g_hi, _ = _checked_residual(hi, sector, widths)
     if g_lo * g_hi > 0.0:
         raise InfeasibleModelError(
             f"no attempt-rate fixed point in ({lo}, {hi:.6g}): "

@@ -5,21 +5,40 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
-from scipy.sparse import csc_array, csr_array
-from scipy.sparse.linalg import splu
 
 from admac import (ConfigError, ExplicitChain, OracleError, OracleSizeError,
                    build_chain, derive_sector_models, derive_timings,
                    make_params, solve_fixed_point, stationary_distribution,
                    validation_report, window_sizes)
-from admac.chain import raw_sector
+from admac.chain import CsrMatrix, raw_sector
 from admac.markov import b000_closed_form, eta_terms, tau_of
 from conftest import chain_states
 
 
+def dense_matrix(chain):
+    """The transition matrix of ``chain`` as a dense array."""
+    data, indices, indptr = chain.matrix
+    rows = np.repeat(np.arange(chain.n_states), np.diff(indptr))
+    dense = np.zeros((chain.n_states, chain.n_states))
+    np.add.at(dense, (rows, indices), data)
+    return dense
+
+
+def chain_from_dense(dense, heads, store_diagonal=True):
+    """A hand-built chain holding every nonzero entry of ``dense``, and
+    each diagonal entry when ``store_diagonal``."""
+    keep = dense != 0.0
+    if store_diagonal:
+        keep |= np.eye(len(dense), dtype=bool)
+    rows, cols = np.nonzero(keep)
+    indptr = np.searchsorted(rows, np.arange(len(dense) + 1))
+    return ExplicitChain(matrix=CsrMatrix(dense[rows, cols], cols, indptr),
+                         n_states=len(dense), heads=heads)
+
+
 def dense_stationary(chain):
     """Reference solve: dense (P^T - I) with its last row replaced by ones."""
-    a = chain.matrix.toarray().T - np.eye(chain.n_states)
+    a = dense_matrix(chain).T - np.eye(chain.n_states)
     a[-1, :] = 1.0
     b = np.zeros(chain.n_states)
     b[-1] = 1.0
@@ -38,7 +57,7 @@ def transmit_mass(masses, m):
 
 def test_rows_sum_to_one():
     chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 8, 3)
-    sums = chain.matrix.sum(axis=1)
+    sums = dense_matrix(chain).sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
@@ -59,7 +78,7 @@ def test_rows_follow_the_documented_layout(rule):
     widths = window_sizes(4, 2, rule)
     assert chain.heads == tuple(sum(2 * w - 1 for w in widths[:i])
                                 for i in range(len(widths)))
-    dense = chain.matrix.toarray()
+    dense = dense_matrix(chain)
     for head, w in zip(chain.heads, widths):
         for r in range(head + 1, head + w):
             assert list(np.flatnonzero(dense[r])) == [r - 1, r, r + w - 1]
@@ -69,54 +88,84 @@ def test_rows_follow_the_documented_layout(rule):
 
 @pytest.mark.parametrize("rule", ["doubling", "doubling-minus-one"])
 def test_every_row_stores_its_diagonal(rule):
-    # the solve reads P^T - I off P's own arrays, so the diagonal of a head
-    # above stage 0, which has no self-loop, is stored as 0.0
+    # the solve checks the layout on P's own index arrays, each row's
+    # diagonal included, so the diagonal of a head above stage 0, which
+    # has no self-loop, is stored as 0.0
     chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 3,
                         window_rule=rule)
     matrix = chain.matrix
     rows = np.repeat(np.arange(chain.n_states), np.diff(matrix.indptr))
     assert np.array_equal(rows[matrix.indices == rows],
                           np.arange(chain.n_states))
-    assert all(matrix[h, h] == 0.0 for h in chain.heads[1:])
-
-
-def reversed_pinned_system(chain):
-    """P^T - I with state 0's balance equation replaced by pi_0 = 1, its
-    states numbered from the last, built from P's entries alone."""
-    n = chain.n_states
-    entries = chain.matrix.tocoo()
-    keep = entries.col != 0
-    rows = np.concatenate([entries.col[keep], np.arange(n)])
-    cols = np.concatenate([entries.row[keep], np.arange(n)])
-    vals = np.concatenate([entries.data[keep], np.full(n, -1.0)])
-    vals[len(vals) - n] = 1.0
-    system = csc_array((vals, (n - 1 - rows, n - 1 - cols)), shape=(n, n))
-    system.eliminate_zeros()
-    return system
-
-
-@pytest.mark.parametrize("rule", ["doubling", "doubling-minus-one"])
-def test_reversed_pinned_system_factors_without_fill(rule):
-    # eliminating the last state first keeps the LU inside the pattern of
-    # P^T - I; the solve's speed rests on it, so a layout that breaks it
-    # fails here: nnz(L) + nnz(U) - n counts the unit diagonal of L once
-    cases = [(w0, m, 0.3) for w0 in (2, 3, 4, 7, 8, 15, 31)
-             for m in (0, 1, 2, 3, 5, 7)] + [(7, 5, 0.0)]
-    for w0, m, p in cases:
-        chain = build_chain(p, raw_sector(0.01, 0.05, 0.6), w0, m,
-                            window_rule=rule)
-        system = reversed_pinned_system(chain)
-        lu = splu(system, permc_spec="NATURAL")
-        assert lu.L.nnz + lu.U.nnz - chain.n_states == system.nnz, (w0, m, p)
+    dense = dense_matrix(chain)
+    assert all(dense[h, h] == 0.0 for h in chain.heads[1:])
 
 
 def test_chain_without_a_stored_diagonal_is_refused():
     # a two-state flip chain: stationary (1/2, 1/2), but no row stores its
-    # diagonal, which the solve needs
-    chain = ExplicitChain(matrix=csr_array([[0.0, 1.0], [1.0, 0.0]]),
-                          n_states=2, heads=(0,))
+    # diagonal, which the layout check needs
+    chain = chain_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]), (0,),
+                             store_diagonal=False)
     with pytest.raises(OracleError, match="no diagonal"):
         stationary_distribution(chain)
+
+
+def test_built_chain_without_its_zero_head_diagonals_is_refused():
+    chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 2)
+    bare = chain_from_dense(dense_matrix(chain), chain.heads,
+                            store_diagonal=False)
+    with pytest.raises(OracleError, match="no diagonal"):
+        stationary_distribution(bare)
+
+
+def test_two_state_chains_are_refused():
+    # one stage of two rows is no head with k counters and k twins, though
+    # this chain is uniform at stationarity
+    chain = chain_from_dense(np.array([[0.7, 0.3], [0.3, 0.7]]), (0,))
+    with pytest.raises(OracleError, match="spans 2 rows"):
+        stationary_distribution(chain)
+
+
+@pytest.mark.parametrize("heads", [(0,), (0, 6, 22), (0, 9, 22), (7, 22)])
+def test_stage_spans_other_than_the_layout_are_refused(heads):
+    # the chain of w0 = 4, m = 2 has its heads at rows 0, 7 and 22
+    chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 4, 2)
+    with pytest.raises(OracleError):
+        stationary_distribution(chain._replace(heads=heads))
+
+
+def moved(dense, row, source, target, share):
+    """``dense`` with a ``share`` of the entry (row, source) moved to
+    (row, target): still stochastic."""
+    out = dense.copy()
+    out[row, target] += share * out[row, source]
+    out[row, source] *= 1.0 - share
+    return out
+
+
+@pytest.mark.parametrize("row, source, target, share, match", [
+    (8, 1, 0, 1.0, r"not \[r - 1"),    # twin (0, 1, -1) exits to the head
+    (8, 1, 15, 1.0, r"not \[r - 1"),   # ... or to the next stage's head
+    (12, 12, 0, 0.5, "entries"),       # twin (0, 5, -1) also exits there
+    (5, 4, 0, 1.0, r"not \[r - 1"),    # counter (0, 5, 0) jumps to the head
+    (3, 10, 11, 1.0, r"not \[r - 1"),  # ... (0, 3, 0) suspends to (0, 4, -1)
+    (3, 3, 15, 0.5, "entries"),        # ... (0, 3, 0) leaves its stage
+    (0, 1, 9, 0.5, "suspended twin"),  # the head reaches twin (0, 2, -1)
+    (7, 6, 31, 0.5, "entries"),        # a counter reaches twin (1, 1, -1)
+    (15, 1, 31, 0.5, "suspended twin"),  # head 1 reaches it
+])
+def test_rows_off_the_layout_are_refused(row, source, target, share, match):
+    # w0 = 8, m = 1: stage 0 holds rows 0..14 (counters 1..7, twins 8..14),
+    # stage 1 rows 15..45 (counters 16..30, twins 31..45)
+    chain = build_chain(0.3, raw_sector(0.01, 0.05, 0.6), 8, 1)
+    copy = chain_from_dense(dense_matrix(chain), chain.heads)
+    assert np.array_equal(stationary_distribution(copy),
+                          stationary_distribution(chain))
+    dense = moved(dense_matrix(chain), row, source, target, share)
+    assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 1e-12
+    changed = chain_from_dense(dense, chain.heads)
+    with pytest.raises(OracleError, match=match):
+        stationary_distribution(changed)
 
 
 def test_smallest_chain_hand_solution():
@@ -152,14 +201,6 @@ def test_closed_form_matches_oracle_with_decoupled_busy_probability():
     assert closed == pytest.approx(masses[(0, 0, 0)], rel=1e-8)
     assert tau_of(p, closed, m) == pytest.approx(transmit_mass(masses, m),
                                                  rel=1e-8)
-
-
-def test_two_state_symmetric_chain_is_uniform():
-    matrix = csr_array([[0.7, 0.3], [0.3, 0.7]])
-    chain = ExplicitChain(matrix=matrix, n_states=2, heads=(0,))
-    pi = stationary_distribution(chain)
-    assert pi[0] == pytest.approx(0.5, rel=1e-12)
-    assert pi[1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_sparse_solve_agrees_with_dense_solve():
@@ -250,7 +291,7 @@ def test_validation_report_bytes_are_pinned_at_operating_points():
     text = "".join(",".join(repr(row[c]) for c in columns) + "\n"
                    for row in validation_report(points))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "fafc389ade9a26cb53f54426f3132d6fc22211ebf3508c42f5d1fc9238f2248d")
+        "5f7834d6e1de48653ebf0cc6fbbd1c0dd86266aed7ca3d6491b0e1eb4a62f086")
 
 
 def test_no_return_path_leaves_one_step_suspension_mass():

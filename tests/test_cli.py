@@ -738,7 +738,7 @@ def test_validate_stdout_bytes_are_pinned(tmp_path, capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == (
-        "5d61d639bb359a7938d4e5423de8d9d94bf31eaa32ba18c5b8e8352a3dff6c2a")
+        "edd73d4ff09ae5c0fd2b253b427f73c86d7593fd4fa44eee112cdb8ed789a87d")
     assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 0
     assert (tmp_path / "v.csv").read_bytes() == out
 
@@ -932,20 +932,30 @@ def test_module_entry_point_smoke():
 
 
 def test_analytic_and_simulate_paths_do_not_import_scipy():
-    # scipy serves only the explicit-chain oracle; importing it costs more
-    # than the rest of the package's start-up
+    # no command needs scipy: run with scipy barred from import, solve,
+    # simulate, validate and validation_report succeed with the bytes of a
+    # run where it may load, and neither run loads it
     script = (
         "import sys\n"
+        "if sys.argv[1] == 'barred':\n"
+        "    sys.modules['scipy'] = None\n"
         "import admac\n"
         "from admac import cli\n"
         "assert cli.main(['solve', '--n', '10', '--cbap-fraction', '0.4']) == 0\n"
         "assert cli.main(['simulate', '--n', '4', '--seeds', '0',"
         " '--num-bi', '2']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "assert cli.main(['validate']) == 0\n"
+        "print(admac.validation_report(admac.DEFAULT_GRID[:3]))\n"
+        "print(sorted(name for name, module in sys.modules.items()\n"
+        "             if name.partition('.')[0] == 'scipy' and module))\n"
     )
-    proc = run_python("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    barred = run_python("-c", script, "barred")
+    free = run_python("-c", script, "free")
+    assert barred.returncode == 0, barred.stderr
+    assert free.returncode == 0, free.stderr
+    assert barred.stdout == free.stdout
+    assert "# worst_rel_err=" in free.stdout
+    assert free.stdout.splitlines()[-1] == "[]"
 
 
 def write_sim_csv(path, digest):

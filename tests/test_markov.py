@@ -189,6 +189,22 @@ def test_fixed_point_floats_are_pinned(n, cbap_slots, tau, p, iterations):
     assert (sol.tau, sol.p, sol.iterations) == (tau, p, iterations)
 
 
+@pytest.mark.parametrize("n_k", [1, 10])
+def test_fixed_point_calls_no_public_markov_function(monkeypatch, n_k):
+    # a tracer wraps every public function; calls from the bisection would
+    # span each of its steps
+    sector = raw_sector(1e-4, 1.4e-3, 0.6, n_k=n_k)
+    expected = solve_fixed_point(sector, 7, 5)
+
+    def refuse(*args):
+        raise AssertionError("public function called")
+
+    for name in ("eta_terms", "collision_probability", "b000_closed_form",
+                 "tau_of"):
+        monkeypatch.setattr(markov, name, refuse)
+    assert solve_fixed_point(sector, 7, 5) == expected
+
+
 def test_fixed_point_raises_when_the_budget_runs_out(monkeypatch):
     monkeypatch.setattr(markov, "MAX_ITER", 10)
     sector = raw_sector(1e-4, 1.4e-3, 0.6, n_k=10)
